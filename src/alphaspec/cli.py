@@ -14,7 +14,7 @@ from .bounds import bound_report
 from .closed_forms import (ClosedFormSpectrum, spectrum_complete,
                            spectrum_complete_bipartite,
                            spectrum_complete_multipartite, spectrum_star)
-from .combinatorics import ENUMERATION_MAX_VERTICES, enumerate_graphs, is_clique_free
+from .combinatorics import enumerate_graphs, is_clique_free
 from .eigensolver import alpha_sweep, full_spectrum, psd_threshold
 from .errors import CapacityError, GraphFormatError, ParameterError
 from .extremal import verify_turan
@@ -184,9 +184,6 @@ def cmd_psd_threshold(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.n > ENUMERATION_MAX_VERTICES:
-        raise CapacityError(
-            f"enumeration limited to n <= {ENUMERATION_MAX_VERTICES}, got n={args.n}")
     pred = None
     if args.clique_free is not None:
         if args.clique_free < 2:

@@ -166,21 +166,7 @@ def multipartite_radius(part_sizes, alpha: float) -> float:
             off /= 1024.0
             lo = a * n - n_min + off
         hi = a * n
-    flo = _secular_sum(lo, a, sizes, n)
-    fhi = _secular_sum(hi, a, sizes, n)
-    if not (flo > target >= fhi or flo >= target > fhi):
-        raise SolverError("secular bracket failed", lo=lo, hi=hi, flo=flo, fhi=fhi)
-    for _ in range(SECULAR_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= SECULAR_BISECTION_TOL:
-            break
-        if _secular_sum(mid, a, sizes, n) > target:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise SolverError("secular bisection failed to converge", lo=lo, hi=hi)
-    return 0.5 * (lo + hi)
+    return _secular_root_between(lo, hi, a, sizes, n, target)
 
 
 def _secular_root_between(lo: float, hi: float, a: float, sizes, n: int,

@@ -1,13 +1,12 @@
 """Dense symmetric eigensolver and spectrum utilities.
 
-The per-matrix path is Householder tridiagonalization followed by implicit
-shift QL with accumulated transforms (capped at 50 sweeps per eigenvalue).
-A batched cyclic Jacobi path computes eigenvalues only for stacks of small
-matrices; the two routes are cross-checked in the test suite. Every solve is
-verified against trace identities before results are returned.
+Every solve runs LAPACK through numpy.linalg: eigh for values with vectors,
+eigvalsh for values only, stacked over a batch for many small matrices. The
+guards around it are the package's own: inputs must be exactly symmetric,
+every single-matrix solve is verified against trace identities, and
+eigenvector signs are normalized so results are deterministic.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,9 +15,6 @@ from .errors import ParameterError, SolverError
 from .graphs import Graph
 from .matrices import alpha_matrix, check_alpha
 
-_EPS = float(np.finfo(np.float64).eps)
-QL_MAX_SWEEPS = 50
-JACOBI_MAX_SWEEPS = 30
 PSD_BISECTION_MAX_ITER = 200
 
 
@@ -62,112 +58,23 @@ def _check_square_symmetric(mat) -> np.ndarray:
     return mat
 
 
-def _householder_tridiagonal(mat: np.ndarray, want_q: bool):
-    """Reduce to tridiagonal T = P^T A P; returns (diag, offdiag, P or None)."""
-    n = mat.shape[0]
-    a = np.array(mat, dtype=np.float64, copy=True)
-    q = np.eye(n) if want_q else None
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        # scale before forming the reflector: keeps beta = |v|^2 in [1, 4n]
-        # even when the column is rounding-level small, so nothing under- or
-        # overflows on rank-deficient input
-        scale = float(np.max(np.abs(x)))
-        if scale == 0.0:
-            continue
-        xs = x / scale
-        norm_x = math.sqrt(float(xs @ xs))
-        alpha = -math.copysign(norm_x, xs[0]) if xs[0] != 0.0 else -norm_x
-        v = xs.copy()
-        v[0] -= alpha
-        alpha *= scale
-        beta = float(v @ v)
-        if beta == 0.0:
-            continue
-        sub = a[k + 1:, k + 1:]
-        p = sub @ v * (2.0 / beta)
-        w = p - (float(v @ p) / beta) * v
-        sub -= np.outer(v, w) + np.outer(w, v)
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        a[k + 2:, k] = 0.0
-        a[k, k + 2:] = 0.0
-        if want_q:
-            qv = q[:, k + 1:] @ v
-            q[:, k + 1:] -= np.outer(qv, v) * (2.0 / beta)
-    d = np.ascontiguousarray(np.diagonal(a)).copy()
-    e = np.diagonal(a, -1).copy() if n > 1 else np.zeros(0)
-    return d, e, q
+def _lapack(solver, mat: np.ndarray):
+    """Call a numpy.linalg eigensolver, reporting LAPACK failure as SolverError."""
+    try:
+        return solver(mat)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"LAPACK eigensolver failed: {exc}",
+                          shape=tuple(int(k) for k in mat.shape)) from exc
 
 
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z, max_sweeps: int = QL_MAX_SWEEPS):
-    """Implicit-shift QL on a symmetric tridiagonal matrix, in place.
-
-    d: diagonal (overwritten with eigenvalues, unordered). e: subdiagonal.
-    z: optional matrix whose columns accumulate the rotations.
-    """
-    n = d.size
-    if n <= 1:
-        return
-    ee = np.zeros(n)
-    ee[: n - 1] = e
-    # deflation floor at the whole-matrix scale: a purely relative test never
-    # fires on rounding-level couplings between exactly-zero eigenvalues
-    anorm = float(np.abs(d).max(initial=0.0) + np.abs(ee).max(initial=0.0))
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(ee[m]) <= _EPS * (dd + anorm):
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise SolverError(
-                    "QL iteration failed to converge",
-                    size=int(n), eigen_index=int(l), sweeps=sweeps,
-                    offdiag=float(ee[l]))
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + ee[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = math.hypot(f, g)
-                ee[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if z is not None:
-                    col = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + c * col
-                    z[:, i] = c * z[:, i] - s * col
-            else:
-                d[l] -= p
-                ee[l] = g
-                ee[m] = 0.0
-
-
-def _normalize_signs(vectors: np.ndarray):
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0.0:
-            np.negative(col, out=col)
+def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
+    # one whole-array multiply: numpy 2.4's in-place ufuncs on strided column
+    # views (np.negative(col, out=col)) can write wrong values
+    if vectors.size == 0:
+        return vectors
+    rows = np.argmax(np.abs(vectors), axis=0)
+    peak = vectors[rows, np.arange(vectors.shape[1])]
+    return vectors * np.where(peak < 0.0, -1.0, 1.0)
 
 
 def _trace_check(mat: np.ndarray, values: np.ndarray):
@@ -188,24 +95,19 @@ def decompose(mat) -> tuple[np.ndarray, np.ndarray]:
     index on ties) is positive.
     """
     mat = _check_square_symmetric(mat)
-    d, e, q = _householder_tridiagonal(mat, want_q=True)
-    _ql_implicit(d, e, q)
-    order = np.argsort(-d, kind="stable")
-    values = d[order]
-    vectors = q[:, order]
-    _normalize_signs(vectors)
+    values, vectors = _lapack(np.linalg.eigh, mat)
+    values = values[::-1].copy()
+    vectors = _normalize_signs(vectors[:, ::-1])
     _trace_check(mat, values)
     return values, vectors
 
 
 def eigenvalues_only(mat) -> np.ndarray:
-    """Eigenvalues sorted descending, skipping eigenvector accumulation."""
+    """Eigenvalues sorted descending, without eigenvectors."""
     mat = _check_square_symmetric(mat)
-    d, e, _ = _householder_tridiagonal(mat, want_q=False)
-    _ql_implicit(d, e, None)
-    d[::-1].sort()
-    _trace_check(mat, d)
-    return d
+    values = _lapack(np.linalg.eigvalsh, mat)[::-1].copy()
+    _trace_check(mat, values)
+    return values
 
 
 def full_spectrum(mat, tol: float = 1e-12) -> Spectrum:
@@ -315,64 +217,15 @@ def alpha_sweep(g: Graph, grid) -> AlphaSweep:
     return AlphaSweep(alphas, spectra)
 
 
-def eigvalsh_batch(mats, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues (descending) for a stack of symmetric matrices, cyclic Jacobi.
+def eigvalsh_batch(mats) -> np.ndarray:
+    """Eigenvalues (descending) for a stack of symmetric matrices, one LAPACK call.
 
-    mats: array of shape (b, n, n). Designed for large b and small n; used by
-    the enumeration scans where the QL path would be called millions of times.
+    mats: array of shape (b, n, n), or one (n, n) matrix as a batch of one.
+    Used by the enumeration scans, which solve millions of small matrices.
     """
-    a = np.array(mats, dtype=np.float64, copy=True)
+    a = np.asarray(mats, dtype=np.float64)
     if a.ndim == 2:
         a = a[np.newaxis]
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ParameterError(f"expected shape (b, n, n), got {a.shape}")
-    b, n, _ = a.shape
-    if n <= 1 or b == 0:
-        return a.reshape(b, n * n)[:, ::max(n + 1, 1)].copy()
-    diag_idx = np.arange(n)
-    thresh = 1e-13 * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-    converged = False
-    for _ in range(max_sweeps):
-        off = a.copy()
-        off[:, diag_idx, diag_idx] = 0.0
-        if np.all(np.abs(off).max(axis=(1, 2)) <= thresh):
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                theta = np.zeros(b)
-                t = np.zeros(b)
-                # rotate only above the convergence threshold; this also keeps
-                # theta small enough that theta**2 cannot overflow
-                nz = np.abs(apq) > thresh
-                if not nz.any():
-                    continue
-                theta[nz] = (a[nz, q, q] - a[nz, p, p]) / (2.0 * apq[nz])
-                t[nz] = np.where(theta[nz] >= 0.0, 1.0, -1.0) / (
-                    np.abs(theta[nz]) + np.sqrt(theta[nz] ** 2 + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cc = c[:, np.newaxis]
-                ss = s[:, np.newaxis]
-                rp = a[:, p, :].copy()
-                rq = a[:, q, :].copy()
-                a[:, p, :] = cc * rp - ss * rq
-                a[:, q, :] = ss * rp + cc * rq
-                cp = a[:, :, p].copy()
-                cq = a[:, :, q].copy()
-                a[:, :, p] = cc[:, 0:1] * cp - ss[:, 0:1] * cq
-                a[:, :, q] = ss[:, 0:1] * cp + cc[:, 0:1] * cq
-                a[nz, p, q] = 0.0
-                a[nz, q, p] = 0.0
-    if not converged:
-        off = a.copy()
-        off[:, diag_idx, diag_idx] = 0.0
-        worst = np.abs(off).max(axis=(1, 2))
-        if not np.all(worst <= thresh):
-            raise SolverError("Jacobi sweep cap exceeded",
-                              batch=int(b), size=int(n),
-                              worst_offdiag=float(worst.max()))
-    vals = a[:, diag_idx, diag_idx]
-    vals = -np.sort(-vals, axis=1)
-    return vals
+    return _lapack(np.linalg.eigvalsh, a)[:, ::-1].copy()

@@ -25,7 +25,7 @@ class SolverError(AlphaspecError, ArithmeticError):
     """Numeric iteration failed to converge or failed a consistency check.
 
     diagnostics carries whatever context the failing routine could attach
-    (matrix size, sweep counts, residuals).
+    (matrix shape, residuals, bracket ends).
     """
 
     def __init__(self, message: str, **diagnostics):

@@ -3,14 +3,14 @@ spectral-radius maximizers of M(alpha), and compare against the predicted
 extremal families.
 
 Enumerative classes scan every labeled graph by edge bitmask with vectorized
-class filters and a batched eigenvalue kernel; the complete-multipartite class
-searches integer partitions with the closed-form radius instead. Chunked scans
-merge deterministically, and chunks can optionally run in worker processes.
+class filters and one stacked LAPACK eigenvalue call per chunk of masks; the
+complete-multipartite class searches integer partitions with the closed-form
+radius instead. Chunked scans merge deterministically, and chunks can
+optionally run in worker processes.
 """
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,6 +194,8 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
         examined = int(members.size)
         nworkers = default_workers() if workers is None else max(int(workers), 1)
         if nworkers > 1 and members.size > 4 * _SCAN_CHUNK:
+            # imported here: loading it pulls in multiprocessing for every user
+            from concurrent.futures import ProcessPoolExecutor
             splits = np.array_split(members, nworkers)
             with ProcessPoolExecutor(max_workers=nworkers) as pool:
                 results = list(pool.map(

@@ -73,9 +73,11 @@ def test_rejects_asymmetric_and_nonsquare():
 
 def test_sign_convention_deterministic(rng):
     m = random_symmetric(rng, 8)
-    _, v1 = decompose(m)
+    vals, v1 = decompose(m)
     _, v2 = decompose(m.copy())
     assert np.array_equal(v1, v2)
+    # sign flips must leave the vectors eigenvectors
+    assert np.abs(m @ v1 - v1 * vals).max() <= 1e-12 * max(1.0, float(np.abs(vals).max()))
     # largest-magnitude entry of each eigenvector is positive
     for k in range(8):
         col = v1[:, k]
@@ -134,7 +136,7 @@ def test_alpha_sweep_csv_and_quotients():
         alpha_sweep(path(3), [0.5, 0.2])
 
 
-def test_eigvalsh_batch_agrees_with_ql(rng):
+def test_eigvalsh_batch_agrees_with_single_solves(rng):
     mats = []
     for _ in range(300):
         n = 7
@@ -143,7 +145,7 @@ def test_eigvalsh_batch_agrees_with_ql(rng):
     batch = eigvalsh_batch(np.array(mats))
     for row, m in zip(batch, mats):
         assert np.max(np.abs(row - eigenvalues_only(m))) <= 1e-10
-    # also a tiny-entry batch to exercise thresholds
+    # also a tiny-entry batch, far below unit scale
     tiny = np.array([random_symmetric(rng, 5, scale=1e-8) for _ in range(10)])
     batch = eigvalsh_batch(tiny)
     for row, m in zip(batch, tiny):
