@@ -2,9 +2,9 @@
 
 Every solve runs LAPACK through numpy.linalg: eigh for values with vectors,
 eigvalsh for values only, stacked over a batch for many small matrices. The
-guards around it are the package's own: inputs must be exactly symmetric,
-every single-matrix solve is verified against trace identities, and
-eigenvector signs are normalized so results are deterministic.
+guards around it are the package's own: inputs must be finite and exactly
+symmetric, every single-matrix solve is verified against trace identities,
+and eigenvector signs are normalized so results are deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +53,8 @@ def _check_square_symmetric(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ParameterError("matrix has NaN or infinite entries")
     if mat.size and not np.array_equal(mat, mat.T):
         raise ParameterError("matrix is not exactly symmetric")
     return mat
@@ -221,11 +223,16 @@ def eigvalsh_batch(mats) -> np.ndarray:
     """Eigenvalues (descending) for a stack of symmetric matrices, one LAPACK call.
 
     mats: array of shape (b, n, n), or one (n, n) matrix as a batch of one.
-    Used by the enumeration scans, which solve millions of small matrices.
+    Every matrix must be finite and exactly symmetric, as in the single-matrix
+    solvers. Used by the enumeration scans.
     """
     a = np.asarray(mats, dtype=np.float64)
     if a.ndim == 2:
         a = a[np.newaxis]
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ParameterError(f"expected shape (b, n, n), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParameterError("batch has NaN or infinite entries")
+    if not np.array_equal(a, a.transpose(0, 2, 1)):
+        raise ParameterError("batch holds a matrix that is not exactly symmetric")
     return _lapack(np.linalg.eigvalsh, a)[:, ::-1].copy()

@@ -2,14 +2,14 @@
 spectral-radius maximizers of M(alpha), and compare against the predicted
 extremal families.
 
-Enumerative classes scan every labeled graph by edge bitmask with vectorized
-class filters and one stacked LAPACK eigenvalue call per chunk of masks; the
-complete-multipartite class searches integer partitions with the closed-form
-radius instead. Chunked scans merge deterministically, and chunks can
-optionally run in worker processes.
+Enumerative classes list every labeled member by edge bitmask with vectorized
+class filters, but solve only the edge-maximal members and then walk down from
+the tied ones one deleted edge at a time: for alpha in [0, 1] the radius of
+M(alpha) never falls when an edge is added, so no other member can tie. Each
+step is one stacked LAPACK eigenvalue call. The complete-multipartite class
+searches integer partitions with the closed-form radius instead.
 """
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -29,19 +29,8 @@ ENUMERATIVE_MAX_VERTICES = 7
 PARTITION_MAX_VERTICES = 60
 DEFAULT_TIE_TOL = 1e-9
 TURAN_BOUNDARY_EPS = 1e-12
-_SCAN_CHUNK = 1 << 16
 
 CLASS_TAGS = ("clique_free", "r_chromatic", "complete_multipartite")
-
-
-def default_workers() -> int:
-    """Worker process count for chunked scans (ALPHASPEC_WORKERS, default 1)."""
-    raw = os.environ.get("ALPHASPEC_WORKERS", "")
-    try:
-        w = int(raw) if raw else 1
-    except ValueError:
-        w = 1
-    return max(w, 1)
 
 
 @dataclass(frozen=True)
@@ -56,6 +45,7 @@ class ExtremalResult:
     maximizers: tuple[int, ...]  # edge bitmasks of every graph within tie_tol
     maximizer_reps: tuple[Graph, ...] = field(repr=False)  # one per isomorphism class
     candidates_examined: int
+    matrices_solved: int  # matrices passed to the batched eigensolver
     elapsed_seconds: float
 
 
@@ -99,23 +89,59 @@ def _batch_alpha_matrices(masks: np.ndarray, n: int, alpha: float,
     return out
 
 
-def _scan_chunk(args) -> tuple[float, list[tuple[int, float]]]:
-    """Top-eigenvalue scan of one mask chunk; keeps candidates near the chunk max."""
-    masks, n, alpha, tie_tol = args
+def _maximal_member_masks(n: int, r: int, class_tag: str,
+                          members: np.ndarray) -> np.ndarray:
+    """The class members to which no edge can be added without leaving the class."""
+    if class_tag == "r_chromatic":
+        # complete multipartite graphs with as many blocks as the class allows
+        k = min(r, n)
+        return np.array([complete_multipartite_mask(n, blocks)
+                         for blocks in set_partitions(n, r) if len(blocks) == k],
+                        dtype=np.int64)
+    full = (1 << (n * (n - 1) // 2)) - 1
+    blocked = np.zeros(members.shape, dtype=np.int64)
+    for cm in clique_edge_masks(n, r + 1):
+        # a non-edge is blocked when it is the only edge a clique still misses
+        miss = cm & ~members
+        blocked |= np.where((miss & (miss - 1)) == 0, miss, 0)
+    return members[(members | blocked) == full]
+
+
+def _descend_to_ties(members: np.ndarray, n: int, r: int, alpha: float,
+                     class_tag: str, tie_tol: float
+                     ) -> tuple[float, list[int], int]:
+    """Maximum radius over the members, the ascending masks within tie_tol of
+    it, and the number of matrices solved to find them.
+
+    Adding an edge raises M(alpha) entrywise, so the radius never falls along
+    a chain of edge additions, and both enumerative classes are closed under
+    edge deletion: every tied member lies below a tied edge-maximal member
+    through tied members. Only the maximal members are solved up front; the
+    rest are reached by deleting one edge at a time from tied graphs.
+    """
     us, vs = _edge_arrays(n)
+    bit = np.int64(1) << np.arange(us.size, dtype=np.int64)
+    seen = np.zeros(1 << us.size, dtype=bool)
+    level = _maximal_member_masks(n, r, class_tag, members)
+    found_masks, found_tops = [], []
     best = -np.inf
-    near: list[tuple[int, float]] = []
-    for start in range(0, masks.size, _SCAN_CHUNK):
-        part = masks[start:start + _SCAN_CHUNK]
-        mats = _batch_alpha_matrices(part, n, alpha, us, vs)
-        tops = eigvalsh_batch(mats)[:, 0]
-        cmax = float(tops.max())
-        if cmax > best:
-            best = cmax
-            near = [(m, v) for m, v in near if v >= best - tie_tol]
-        sel = tops >= best - tie_tol
-        near.extend(zip((int(m) for m in part[sel]), (float(v) for v in tops[sel])))
-    return best, near
+    solved = 0
+    while level.size:
+        seen[level] = True
+        tops = eigvalsh_batch(_batch_alpha_matrices(level, n, alpha, us, vs))[:, 0]
+        solved += level.size
+        best = max(best, float(tops.max()))
+        near = tops >= best - tie_tol
+        tied = level[near]
+        found_masks.append(tied)
+        found_tops.append(tops[near])
+        # every tied graph with one of its edges deleted
+        children = np.unique((tied[:, np.newaxis] ^ bit)[(tied[:, np.newaxis] & bit) != 0])
+        level = children[~seen[children]]
+    masks = np.concatenate(found_masks)
+    # a later level may have raised best past some earlier ties
+    keep = np.concatenate(found_tops) >= best - tie_tol
+    return best, np.sort(masks[keep]).tolist(), solved
 
 
 def _membership_check(g: Graph, r: int, class_tag: str) -> bool:
@@ -156,6 +182,8 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
     r_chromatic(r): graphs colorable with r colors.
     complete_multipartite(r): complete multipartite graphs with at most r parts,
     searched through integer partitions with the closed-form radius.
+    workers is accepted for compatibility and has no effect: scans run in
+    this process.
     """
     a = check_alpha(alpha)
     if class_tag not in CLASS_TAGS:
@@ -186,27 +214,14 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
         graphs = [complete_multipartite(p) for p, _ in near]
         masks = sorted(g.edge_mask() for g in graphs)
         reps = _dedupe_isomorphic(graphs, a)
+        solved = 0
     else:
         if n > ENUMERATIVE_MAX_VERTICES:
             raise CapacityError(
                 f"enumerative scan limited to n <= {ENUMERATIVE_MAX_VERTICES}, got n={n}")
         members = class_member_masks(n, r, class_tag)
         examined = int(members.size)
-        nworkers = default_workers() if workers is None else max(int(workers), 1)
-        if nworkers > 1 and members.size > 4 * _SCAN_CHUNK:
-            # imported here: loading it pulls in multiprocessing for every user
-            from concurrent.futures import ProcessPoolExecutor
-            splits = np.array_split(members, nworkers)
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
-                results = list(pool.map(
-                    _scan_chunk, [(part, n, a, tie_tol) for part in splits]))
-        else:
-            results = [_scan_chunk((members, n, a, tie_tol))]
-        best = max(b for b, _ in results)
-        ties = [(m, v) for _, cand in results for m, v in cand
-                if v >= best - tie_tol]
-        ties.sort()
-        masks = [m for m, _ in ties]
+        best, masks, solved = _descend_to_ties(members, n, r, a, class_tag, tie_tol)
         graphs = [Graph.from_edge_mask(n, m) for m in masks]
         reps = _dedupe_isomorphic(graphs, a)
     for g in graphs:
@@ -216,7 +231,7 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
     elapsed = time.perf_counter() - t0
     return ExtremalResult(class_tag, n, r, float(a), float(best),
                           tuple(int(m) for m in masks), tuple(reps),
-                          examined, elapsed)
+                          examined, solved, elapsed)
 
 
 @dataclass(frozen=True)
@@ -230,6 +245,7 @@ class TuranCheck:
     expected_radius: float
     maximizer_edge_lists: tuple[tuple[tuple[int, int], ...], ...]
     examined: int
+    solved: int
     elapsed_ms: float
     detail: str = ""
 
@@ -245,6 +261,7 @@ class TuranCheck:
             "maximizer_edge_lists": [[list(e) for e in el]
                                      for el in self.maximizer_edge_lists],
             "examined": self.examined,
+            "solved": self.solved,
             "elapsed_ms": self.elapsed_ms,
             "status": self.status,
             "detail": self.detail,
@@ -282,7 +299,8 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
     Below the boundary alpha = 1 - 1/r the balanced complete r-partite graph
     must be the unique maximizer up to isomorphism; above it, the split graph
     (clique on r-1 vertices joined to the rest); within 1e-12 of the boundary
-    every complete r-partite graph must tie at (1 - 1/r) * n.
+    every complete r-partite graph must tie at (1 - 1/r) * n. workers has no
+    effect, as in maximize_over_class.
     """
     if not 2 <= r:
         raise ParameterError("need r >= 2")
@@ -335,6 +353,7 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
             expected_radius=float(expected_radius),
             maximizer_edge_lists=tuple(g.edges for g in res.maximizer_reps),
             examined=res.candidates_examined,
+            solved=res.matrices_solved,
             elapsed_ms=res.elapsed_seconds * 1000.0,
             detail="; ".join(problems),
         ))

@@ -131,9 +131,11 @@ def test_verify_turan_cli(capsys):
     assert rc == 0
     assert "all checks passed" in out
     rc, out, _ = run(capsys, "verify-turan", "--n", "5", "--r", "2",
-                     "--alphas", "0.2", "--json")
+                     "--alphas", "0.2", "--json", "--workers", "3")
     doc = json.loads(out)
     assert doc["ok"] is True
+    check = doc["checks"][0]
+    assert 0 < check["solved"] < check["examined"]
 
 
 def test_verify_turan_counterexample_exit(capsys, monkeypatch):

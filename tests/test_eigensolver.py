@@ -162,6 +162,27 @@ def test_eigvalsh_batch_shapes():
         eigvalsh_batch(np.zeros((2, 3, 4)))
 
 
+def test_eigvalsh_batch_rejects_asymmetric():
+    # LAPACK reads one triangle only, so this would otherwise solve as [[0, 0]]
+    with pytest.raises(ParameterError):
+        eigvalsh_batch(np.array([[0.0, 5.0], [0.0, 0.0]]))
+    stack = np.zeros((3, 4, 4))
+    stack[2, 0, 3] = 1.0
+    with pytest.raises(ParameterError):
+        eigvalsh_batch(stack)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rejects_non_finite_entries(bad):
+    m = np.array([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(ParameterError):
+        eigenvalues_only(m)
+    with pytest.raises(ParameterError):
+        full_spectrum(m)
+    with pytest.raises(ParameterError):
+        eigvalsh_batch(np.stack([np.eye(2), m]))
+
+
 def test_spectrum_invariant_under_relabeling(rng):
     g = rand_connected(rng, 9, extra=4)
     perm = rng.permutation(9)

@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alphaspec.extremal as extremal
 from alphaspec import (CapacityError, ParameterError, alpha_matrix,
                        complete_multipartite, cycle, eigenvalues_only,
-                       enumerate_graphs, is_clique_free, maximize_over_class,
-                       monotonicity_check, multipartite_radius, path, star,
-                       turan, verify_turan)
+                       eigvalsh_batch, enumerate_graphs, is_clique_free,
+                       maximize_over_class, monotonicity_check,
+                       multipartite_radius, path, star, turan, verify_turan)
 from alphaspec.combinatorics import integer_partitions
 from alphaspec.graphs import split, turan_part_sizes
 from conftest import rand_connected
@@ -59,9 +62,9 @@ def test_r_chromatic_class_contains_turan_max():
     assert res.max_radius == pytest.approx(want, abs=1e-8)
 
 
-def test_workers_chunked_scan_matches_sequential(monkeypatch):
+def test_workers_chunked_scan_matches_sequential():
+    # workers is still accepted and has no effect
     seq = maximize_over_class(6, 2, 0.4, "clique_free", workers=1)
-    monkeypatch.setattr(extremal, "_SCAN_CHUNK", 256)
     par = maximize_over_class(6, 2, 0.4, "clique_free", workers=2)
     assert par.max_radius == pytest.approx(seq.max_radius, abs=1e-12)
     assert par.maximizers == seq.maximizers
@@ -150,10 +153,66 @@ def test_monotonicity_grid_validation():
         monotonicity_check(path(3), [0.0, 1.5])
 
 
-def test_default_workers_env(monkeypatch):
-    monkeypatch.delenv("ALPHASPEC_WORKERS", raising=False)
-    assert extremal.default_workers() == 1
-    monkeypatch.setenv("ALPHASPEC_WORKERS", "3")
-    assert extremal.default_workers() == 3
-    monkeypatch.setenv("ALPHASPEC_WORKERS", "junk")
-    assert extremal.default_workers() == 1
+def test_descent_solves_fewer_matrices_than_members():
+    res = maximize_over_class(6, 2, 0.3, "clique_free")
+    assert 0 < res.matrices_solved < res.candidates_examined
+    out = verify_turan(6, 2, [0.3])
+    check = out.to_json_obj()["checks"][0]
+    assert check["solved"] == res.matrices_solved
+    assert check["solved"] < check["examined"]
+    assert maximize_over_class(6, 3, 0.3, "complete_multipartite").matrices_solved == 0
+
+
+# ---------------------------------------------------------------- oracle
+# The labeled brute force: solve every class member, keep all within tie_tol
+# of the maximum. maximize_over_class must agree with it exactly.
+
+def _brute_force(n, r, alpha, class_tag, tie_tol=extremal.DEFAULT_TIE_TOL):
+    members = extremal.class_member_masks(n, r, class_tag)
+    us, vs = extremal._edge_arrays(n)
+    tops = eigvalsh_batch(extremal._batch_alpha_matrices(members, n, alpha, us, vs))[:, 0]
+    best = float(tops.max())
+    ties = tuple(int(m) for m in members[tops >= best - tie_tol])
+    return best, ties, int(members.size)
+
+
+def _isomorphism_class_count(n, masks):
+    """Distinct canonical forms, the least relabeled mask over all n! relabelings."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    shifts = np.array([[index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+                       for perm in itertools.permutations(range(n))])
+    masks = np.array(masks, dtype=np.int64)
+    bits = (masks[:, np.newaxis] >> np.arange(len(pairs))) & 1
+    relabeled = bits.astype(np.float64) @ (2.0 ** shifts).T  # exact below 2**53
+    return int(np.unique(relabeled.min(axis=1)).size)
+
+
+def _assert_matches_brute_force(n, r, alpha, class_tag):
+    best, ties, size = _brute_force(n, r, alpha, class_tag)
+    res = maximize_over_class(n, r, alpha, class_tag)
+    case = (n, r, alpha, class_tag)
+    assert res.max_radius == best, case
+    assert res.maximizers == ties, case
+    assert res.candidates_examined == size, case
+    assert len(res.maximizer_reps) == _isomorphism_class_count(n, ties), case
+
+
+@pytest.mark.parametrize("class_tag", ["clique_free", "r_chromatic"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descent_matches_brute_force(n, class_tag):
+    for r in range(1, n + 2):
+        for alpha in sorted({0.0, 0.3, 1.0 - 1.0 / r, 0.8, 1.0}):
+            _assert_matches_brute_force(n, r, alpha, class_tag)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_descent_matches_brute_force_n7(alpha):
+    _assert_matches_brute_force(7, 2, alpha, "clique_free")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), r_offset=st.integers(0, 5),
+       alpha=st.floats(0.0, 1.0), class_tag=st.sampled_from(["clique_free", "r_chromatic"]))
+def test_descent_matches_brute_force_random_alpha(n, r_offset, alpha, class_tag):
+    _assert_matches_brute_force(n, 1 + r_offset % (n + 1), alpha, class_tag)
