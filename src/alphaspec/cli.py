@@ -3,7 +3,8 @@
 Subcommands: spectrum, bounds, sweep, closed-form, verify-turan, psd-threshold,
 enumerate. Exit codes follow the sysexits convention: 0 success, 2 a check ran
 and failed (bound violation, extremal counterexample), 64 bad usage or
-parameter values, 65 unreadable or oversized input data, 66 missing input file.
+parameter values, 65 unreadable or oversized input data, 66 missing input file,
+70 an internal consistency check failed (SolverError, with its diagnostics).
 """
 
 import argparse
@@ -16,7 +17,8 @@ from .closed_forms import (ClosedFormSpectrum, spectrum_complete,
                            spectrum_complete_multipartite, spectrum_star)
 from .combinatorics import enumerate_graphs, is_clique_free
 from .eigensolver import alpha_sweep, full_spectrum, psd_threshold
-from .errors import CapacityError, GraphFormatError, ParameterError
+from .errors import (CapacityError, GraphFormatError, ParameterError,
+                     SolverError)
 from .extremal import verify_turan
 from .graphs import Graph, format_edge_list, parse_edge_list
 from .matrices import MATRIX_KINDS, alpha_matrix, assemble
@@ -26,6 +28,7 @@ EX_CHECK_FAILED = 2
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
+EX_SOFTWARE = 70
 
 
 def _fmt(v: float) -> str:
@@ -37,7 +40,12 @@ def _fmt(v: float) -> str:
 
 def _read_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    return parse_edge_list(text)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -272,6 +280,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return EX_NOINPUT
+    except IsADirectoryError as exc:
+        print(f"error: is a directory: {exc.filename}", file=sys.stderr)
+        return EX_NOINPUT
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
@@ -281,6 +292,10 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except SolverError as exc:
+        details = " ".join(f"{k}={v}" for k, v in exc.diagnostics.items())
+        print(f"error: {exc}" + (f" ({details})" if details else ""), file=sys.stderr)
+        return EX_SOFTWARE
 
 
 def entry() -> None:

@@ -2,14 +2,16 @@
 spectral-radius maximizers of M(alpha), and compare against the predicted
 extremal families.
 
-Enumerative classes list every labeled member by edge bitmask with vectorized
-class filters, but solve only the edge-maximal members and then walk down from
-the tied ones one deleted edge at a time: for alpha in [0, 1] the radius of
-M(alpha) never falls when an edge is added, so no other member can tie. Each
-step is one stacked LAPACK eigenvalue call. The complete-multipartite class
-searches integer partitions with the closed-form radius instead.
+Enumerative classes list every labeled member by edge bitmask, grown one
+vertex at a time so that no K_{r+1} ever forms, but solve only the
+edge-maximal members and then walk down from the tied ones one deleted edge
+at a time: for alpha in [0, 1] the radius of M(alpha) never falls when an
+edge is added, so no other member can tie. Each step is one stacked LAPACK
+eigenvalue call. The complete-multipartite class searches integer partitions
+with the closed-form radius instead.
 """
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -57,21 +59,46 @@ def _edge_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def class_member_masks(n: int, r: int, class_tag: str) -> np.ndarray:
-    """Edge bitmasks of every labeled class member on n vertices, ascending."""
-    nbits = n * (n - 1) // 2
-    masks = np.arange(1 << nbits, dtype=np.int64)
-    if class_tag == "clique_free":
-        keep = np.ones(masks.shape, dtype=bool)
-        for cm in clique_edge_masks(n, r + 1):
-            keep &= (masks & cm) != cm
-        return masks[keep]
+    """Edge bitmasks of every labeled class member on n vertices, ascending.
+
+    The members are grown, not filtered: vertex k joins each graph on
+    0..k-1 through every neighbourhood that holds no r-clique of it, so no
+    K_{r+1} ever forms. r-colorable graphs are K_{r+1}-free, so the
+    r_chromatic members are the clique_free members that lie under a
+    complete multipartite mask with min(r, n) blocks.
+    """
+    if class_tag not in ("clique_free", "r_chromatic"):
+        raise ParameterError(f"no mask enumeration for class {class_tag!r}")
+    index = {pair: i for i, pair in enumerate(edge_order(n))}
+    members = np.zeros(1, dtype=np.int64)
+    for k in range(n):
+        subsets = np.arange(1 << k, dtype=np.int64)
+        # edges from vertex k to each neighbourhood, in the n-vertex layout
+        star = np.zeros(subsets.shape, dtype=np.int64)
+        for j in range(k):
+            star |= ((subsets >> j) & 1) << index[(j, k)]
+        allowed = np.ones((members.size, subsets.size), dtype=bool)
+        for c in itertools.combinations(range(k), r):
+            ec = sum(1 << index[p] for p in itertools.combinations(c, 2))
+            vc = sum(1 << j for j in c)
+            allowed &= ~np.outer((members & ec) == ec, (subsets & vc) == vc)
+        members = (members[:, np.newaxis] | star)[allowed]
     if class_tag == "r_chromatic":
-        keep = np.zeros(masks.shape, dtype=bool)
-        for blocks in set_partitions(n, r):
-            pm = complete_multipartite_mask(n, blocks)
-            keep |= (masks & pm) == masks
-        return masks[keep]
-    raise ParameterError(f"no mask enumeration for class {class_tag!r}")
+        keep = np.zeros(members.shape, dtype=bool)
+        for pm in _multipartite_masks(n, r):
+            keep |= (members & pm) == members
+        members = members[keep]
+    members.sort()
+    return members
+
+
+def _multipartite_masks(n: int, r: int) -> np.ndarray:
+    """Masks of every labeled complete multipartite graph on n vertices with
+    exactly min(r, n) parts: the edge-maximal r-colorable graphs."""
+    k = min(r, n)
+    return np.array([complete_multipartite_mask(n, blocks)
+                     for blocks in set_partitions(n, r) if len(blocks) == k],
+                    dtype=np.int64)
 
 
 def _batch_alpha_matrices(masks: np.ndarray, n: int, alpha: float,
@@ -93,11 +120,7 @@ def _maximal_member_masks(n: int, r: int, class_tag: str,
                           members: np.ndarray) -> np.ndarray:
     """The class members to which no edge can be added without leaving the class."""
     if class_tag == "r_chromatic":
-        # complete multipartite graphs with as many blocks as the class allows
-        k = min(r, n)
-        return np.array([complete_multipartite_mask(n, blocks)
-                         for blocks in set_partitions(n, r) if len(blocks) == k],
-                        dtype=np.int64)
+        return _multipartite_masks(n, r)
     full = (1 << (n * (n - 1) // 2)) - 1
     blocked = np.zeros(members.shape, dtype=np.int64)
     for cm in clique_edge_masks(n, r + 1):
@@ -283,15 +306,6 @@ class TuranVerification:
                 "checks": [c.to_json_obj(self.n, self.r) for c in self.checks]}
 
 
-def _all_multipartite_masks(n: int, r: int) -> set[int]:
-    """Masks of every labeled complete multipartite graph with exactly r parts."""
-    out = set()
-    for blocks in set_partitions(n, r):
-        if len(blocks) == r:
-            out.add(complete_multipartite_mask(n, blocks))
-    return out
-
-
 def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
                  workers: int | None = None) -> TuranVerification:
     """Check the predicted clique-free maximizers against exhaustive scans.
@@ -321,7 +335,7 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
             if abs(res.max_radius - expected_radius) > 1e-9:
                 problems.append(
                     f"max {res.max_radius!r} differs from {expected_radius!r}")
-            expect_masks = _all_multipartite_masks(n, r)
+            expect_masks = set(_multipartite_masks(n, r).tolist())
             got_masks = set(res.maximizers)
             if got_masks != expect_masks:
                 missing = sorted(expect_masks - got_masks)[:4]

@@ -191,6 +191,36 @@ def test_exit_codes(capsys, tmp_path, p4_file):
     assert rc == 64
 
 
+def test_directory_input_is_missing_input(capsys, tmp_path):
+    rc, out, err = run(capsys, "spectrum", str(tmp_path), "--alpha", "0.5")
+    assert rc == 66 and out == ""
+    assert err == f"error: is a directory: {tmp_path}\n"
+
+
+def test_non_utf8_input_is_data_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"2 1\n0 1 # caf\xe9\n")
+    rc, out, err = run(capsys, "spectrum", str(bad), "--alpha", "0.5")
+    assert rc == 65 and out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert err.count("\n") == 1
+
+
+def test_solver_error_exit_code_and_diagnostics(capsys, monkeypatch):
+    import alphaspec.extremal as extremal
+    from alphaspec import SolverError
+
+    def fail(n, r, alpha, class_tag, **kw):
+        raise SolverError("scan went wrong", n=n, r=r, mask=7)
+
+    monkeypatch.setattr(extremal, "maximize_over_class", fail)
+    rc, out, err = run(capsys, "verify-turan", "--n", "5", "--r", "2",
+                       "--alphas", "0.1")
+    assert rc == cli.EX_SOFTWARE == 70
+    assert out == ""
+    assert err == "error: scan went wrong (n=5 r=2 mask=7)\n"
+
+
 def test_output_deterministic(capsys, p4_file):
     rc1, out1, _ = run(capsys, "sweep", p4_file, "--grid", "0:1:0.1")
     rc2, out2, _ = run(capsys, "sweep", p4_file, "--grid", "0:1:0.1")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaspec import (ParameterError, alpha_matrix, complete,
                        complete_bipartite, complete_multipartite, cycle,
@@ -76,6 +78,14 @@ def test_multipartite_radius_known_values():
             want = spectrum_complete_bipartite(a, b, al).expand()[0]
             got = multipartite_radius([a, b], al)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+       alpha=st.floats(0.0, 1.0, exclude_max=True))
+def test_multipartite_radius_matches_dense_solve(parts, alpha):
+    dense = eigenvalues_only(alpha_matrix(complete_multipartite(parts), alpha))[0]
+    assert multipartite_radius(parts, alpha) == pytest.approx(dense, abs=1e-9)
 
 
 def test_multipartite_radius_degenerate_point():

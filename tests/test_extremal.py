@@ -12,7 +12,9 @@ from alphaspec import (CapacityError, ParameterError, alpha_matrix,
                        eigvalsh_batch, enumerate_graphs, is_clique_free,
                        maximize_over_class, monotonicity_check,
                        multipartite_radius, path, star, turan, verify_turan)
-from alphaspec.combinatorics import integer_partitions
+from alphaspec.combinatorics import (clique_edge_masks,
+                                     complete_multipartite_mask,
+                                     integer_partitions, set_partitions)
 from alphaspec.graphs import split, turan_part_sizes
 from conftest import rand_connected
 
@@ -161,6 +163,48 @@ def test_descent_solves_fewer_matrices_than_members():
     assert check["solved"] == res.matrices_solved
     assert check["solved"] < check["examined"]
     assert maximize_over_class(6, 3, 0.3, "complete_multipartite").matrices_solved == 0
+
+
+# ---------------------------------------------------------------- members
+# The class by filtering every edge mask on n vertices: each (r+1)-clique
+# rules masks out, each partition into at most r blocks rules masks in.
+# class_member_masks grows the members instead and must list the same array.
+
+def _filtered_members(n, r, class_tag):
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    if class_tag == "clique_free":
+        keep = np.ones(masks.shape, dtype=bool)
+        for cm in clique_edge_masks(n, r + 1):
+            keep &= (masks & cm) != cm
+    else:
+        keep = np.zeros(masks.shape, dtype=bool)
+        for blocks in set_partitions(n, r):
+            pm = complete_multipartite_mask(n, blocks)
+            keep |= (masks & pm) == masks
+    return masks[keep]
+
+
+def _assert_members_match_filter(n, r, class_tag):
+    got = extremal.class_member_masks(n, r, class_tag)
+    want = _filtered_members(n, r, class_tag)
+    case = (n, r, class_tag)
+    assert got.dtype == np.int64, case
+    assert np.array_equal(got, want), case
+    assert np.all(got[1:] > got[:-1]), case
+
+
+@pytest.mark.parametrize("class_tag", ["clique_free", "r_chromatic"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_class_members_match_filter(n, class_tag):
+    for r in range(1, n + 2):
+        _assert_members_match_filter(n, r, class_tag)
+
+
+@pytest.mark.parametrize("r,class_tag", [(1, "clique_free"), (2, "clique_free"),
+                                         (3, "clique_free"), (1, "r_chromatic"),
+                                         (2, "r_chromatic")])
+def test_class_members_match_filter_n7(r, class_tag):
+    _assert_members_match_filter(7, r, class_tag)
 
 
 # ---------------------------------------------------------------- oracle

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaspec import (Graph, GraphFormatError, complete, complete_bipartite,
                        complete_multipartite, components, cycle,
@@ -86,6 +88,23 @@ def test_parse_and_format_roundtrip():
     assert parse_edge_list(format_edge_list(g)) == g
     text = "# comment\n 4 2 # trailing\n0 1\n\n2 3\n"
     assert parse_edge_list(text).edges == ((0, 1), (2, 3))
+
+
+@st.composite
+def labeled_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = edge_order(n)
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple(p for p, k in zip(pairs, keep) if k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=labeled_graphs())
+def test_parse_format_roundtrip_property(g):
+    text = format_edge_list(g)
+    back = parse_edge_list(text)
+    assert back == g
+    assert format_edge_list(back) == text
 
 
 @pytest.mark.parametrize("text,fragment", [
