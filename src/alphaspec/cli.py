@@ -9,6 +9,7 @@ parameter values, 65 unreadable or oversized input data, 66 missing input file,
 
 import argparse
 import json
+import math
 import sys
 
 from .bounds import bound_report
@@ -29,6 +30,8 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_SOFTWARE = 70
+
+GRID_MAX_POINTS = 100_000
 
 
 def _fmt(v: float) -> str:
@@ -56,10 +59,14 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ParameterError(f"bad grid component: {exc}") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ParameterError("grid components must be finite")
     if step <= 0:
         raise ParameterError("grid step must be positive")
     if stop < start:
         raise ParameterError("grid stop must be >= start")
+    if (stop - start) / step >= GRID_MAX_POINTS:
+        raise CapacityError(f"grid limited to {GRID_MAX_POINTS} points")
     out = []
     k = 0
     while True:

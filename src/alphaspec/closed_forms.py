@@ -160,13 +160,32 @@ def multipartite_radius(part_sizes, alpha: float) -> float:
     else:
         # root lies between the largest pole and alpha*n
         n_min = min(sizes)
-        off = n_min * 1e-6
-        lo = a * n - n_min + off
-        while _secular_sum(lo, a, sizes, n) <= target:
-            off /= 1024.0
-            lo = a * n - n_min + off
+        lo = _off_pole(n_min, n_min * 1e-6, a, sizes, n, target)
+        if _secular_sum(lo, a, sizes, n) <= target:
+            return lo  # no usable float between the pole and the root
         hi = a * n
     return _secular_root_between(lo, hi, a, sizes, n, target)
+
+
+def _off_pole(s: int, off: float, a: float, sizes, n: int, target: float) -> float:
+    """Bracket end beside the pole alpha*n - s, on the side of off's sign:
+    pole + off, with off divided by 1024 while the root lies between that
+    point and the pole. Where that step would not move, or would reach the
+    pole as the sum computes it (a zero or sign-flipped denominator), off is
+    halved instead; where halving cannot move either, the point is returned
+    with the root still nearer the pole, within a few ulps of alpha*n."""
+    pole = a * n - s
+    x = pole + off
+    while (_secular_sum(x, a, sizes, n) <= target) == (off > 0):
+        for shrink in (1024.0, 2.0):
+            nxt = pole + off / shrink
+            if nxt != x and (nxt - a * n + s) * off > 0.0:
+                break
+        else:
+            return x
+        off /= shrink
+        x = nxt
+    return x
 
 
 def _secular_root_between(lo: float, hi: float, a: float, sizes, n: int,
@@ -223,22 +242,17 @@ def spectrum_complete_multipartite(part_sizes, alpha: float) -> ClosedFormSpectr
             pairs.append((a * (n - s), c * (s - 1)))
         if c >= 2:
             pairs.append((a * n - s, c - 1))
-    poles = [a * n - s for s in sorted(counts, reverse=True)]  # ascending
+    desc = sorted(counts, reverse=True)  # poles alpha*n - s ascending
     target = 1.0 / (1.0 - a)
     pairs.append((multipartite_radius(sizes, a), 1))
-    for p_lo, p_hi in zip(poles, poles[1:]):
-        gap = p_hi - p_lo
-        eps = gap * 1e-6
-        lo = p_lo + eps
-        while _secular_sum(lo, a, sizes, n) <= target and eps > 0.0:
-            eps /= 1024.0
-            lo = p_lo + eps
-        eps = gap * 1e-6
-        hi = p_hi - eps
-        while _secular_sum(hi, a, sizes, n) > target and eps > 0.0:
-            eps /= 1024.0
-            hi = p_hi - eps
-        pairs.append((_secular_root_between(lo, hi, a, sizes, n, target), 1))
+    for s_lo, s_hi in zip(desc, desc[1:]):
+        off = ((a * n - s_hi) - (a * n - s_lo)) * 1e-6
+        lo = _off_pole(s_lo, off, a, sizes, n, target)
+        hi = _off_pole(s_hi, -off, a, sizes, n, target)
+        if _secular_sum(lo, a, sizes, n) <= target:
+            pairs.append((lo, 1))  # no usable float between the pole and the root
+        else:
+            pairs.append((_secular_root_between(lo, hi, a, sizes, n, target), 1))
     out = ClosedFormSpectrum(_sorted_pairs(pairs), source="complete_multipartite")
     if out.n != n:
         raise SolverError("multipartite spectrum lost multiplicity",

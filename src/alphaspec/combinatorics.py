@@ -146,36 +146,42 @@ def diameter(g: Graph):
     return far
 
 
-def _find_automorphism(g: Graph, pin_from: int, pin_to: int):
-    """Backtracking search for an automorphism mapping pin_from to pin_to."""
+def _find_isomorphism(g: Graph, h: Graph, pin=None):
+    """Edge-preserving vertex map from g onto h by backtracking, or None.
+
+    g's vertices are placed in degree-descending order, pin=(u, w) placing u
+    first and onto w, each onto an unused vertex of h with the same degree
+    and the same adjacency to the vertices already placed.
+    """
     n = g.n
-    deg = g.degrees
-    if deg[pin_from] != deg[pin_to]:
-        return None
-    order = [pin_from] + [v for v in range(n) if v != pin_from]
+    degg, degh = g.degrees, h.degrees
+    bitg, bith = g.adjacency_bits, h.adjacency_bits
+    order = sorted(range(n), key=lambda v: (pin is None or v != pin[0], -degg[v]))
+    cands = [[w for w in range(n) if degh[w] == degg[v]] for v in order]
+    if pin is not None:
+        cands[0] = [w for w in cands[0] if w == pin[1]]
     image = [-1] * n
     used = [False] * n
-
-    def consistent(v: int, w: int) -> bool:
-        for u in range(n):
-            if image[u] >= 0 and g.has_edge(u, v) != g.has_edge(image[u], w):
-                return False
-        return True
 
     def place(i: int) -> bool:
         if i == n:
             return True
         v = order[i]
-        candidates = [pin_to] if v == pin_from else range(n)
-        for w in candidates:
-            if used[w] or deg[w] != deg[v] or not consistent(v, w):
+        bv = bitg[v]
+        for w in cands[i]:
+            if used[w]:
                 continue
-            image[v] = w
-            used[w] = True
-            if place(i + 1):
-                return True
-            image[v] = -1
-            used[w] = False
+            bw = bith[w]
+            for j in range(i):
+                u = order[j]
+                if (bv >> u & 1) != (bw >> image[u] & 1):
+                    break
+            else:
+                image[v] = w
+                used[w] = True
+                if place(i + 1):
+                    return True
+                used[w] = False
         return False
 
     return tuple(image) if place(0) else None
@@ -197,7 +203,7 @@ def vertex_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
         for v in range(u + 1, g.n):
             if find(u) == find(v):
                 continue
-            if _find_automorphism(g, u, v) is not None:
+            if _find_isomorphism(g, g, pin=(u, v)) is not None:
                 parent[find(v)] = find(u)
     groups = {}
     for v in range(g.n):
@@ -207,50 +213,17 @@ def vertex_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test by backtracking (intended for small n)."""
-    if g.n != h.n or g.m != h.m:
+    if g.n != h.n or g.m != h.m or sorted(g.degrees) != sorted(h.degrees):
         return False
-    if sorted(g.degrees) != sorted(h.degrees):
-        return False
-    n = g.n
-    if n == 0:
-        return True
-    degg, degh = g.degrees, h.degrees
-    order = sorted(range(n), key=lambda v: degg[v], reverse=True)
-    image = [-1] * n
-    used = [False] * n
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in range(n):
-            if used[w] or degh[w] != degg[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if g.has_edge(u, v) != h.has_edge(image[u], w):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            used[w] = True
-            if place(i + 1):
-                return True
-            image[v] = -1
-            used[w] = False
-        return False
-
-    return place(0)
+    return _find_isomorphism(g, h) is not None
 
 
 def enumerate_graphs(n: int, predicate=None, start: int = 0, stop=None):
     """Yield every labeled graph on n vertices in edge-bitmask order.
 
-    The bitmask interval [start, stop) supports range splitting for parallel
-    scans. An optional predicate filters the yielded graphs (it does not
-    shrink the scan, so the n <= 8 cap applies regardless).
+    Only masks in the interval [start, stop) are visited. An optional
+    predicate filters the yielded graphs (it does not shrink the scan, so the
+    n <= 8 cap applies regardless).
     """
     if n > ENUMERATION_MAX_VERTICES:
         raise CapacityError(

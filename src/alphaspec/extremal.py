@@ -7,8 +7,10 @@ vertex at a time so that no K_{r+1} ever forms, but solve only the
 edge-maximal members and then walk down from the tied ones one deleted edge
 at a time: for alpha in [0, 1] the radius of M(alpha) never falls when an
 edge is added, so no other member can tie. Each step is one stacked LAPACK
-eigenvalue call. The complete-multipartite class searches integer partitions
-with the closed-form radius instead.
+eigenvalue call. Ties are grouped into isomorphism classes exactly: by sorted
+degrees, then by a backtracking isomorphism test within each group. The
+complete-multipartite class searches integer partitions with the closed-form
+radius instead; distinct partitions are never isomorphic.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from .closed_forms import multipartite_radius
 from .combinatorics import (are_isomorphic, chromatic_number,
                             clique_edge_masks, complete_multipartite_mask,
                             is_clique_free, set_partitions)
-from .eigensolver import eigenvalues_only, eigvalsh_batch, full_spectrum
+from .eigensolver import eigvalsh_batch, full_spectrum
 from .errors import CapacityError, ParameterError, SolverError
 from .graphs import (Graph, complete_multipartite, components, edge_order,
                      is_connected, split, turan, turan_part_sizes)
@@ -181,19 +183,17 @@ def _cocomponents(g: Graph):
     return components(comp)
 
 
-def _fingerprint(g: Graph, alpha: float) -> tuple:
-    vals = eigenvalues_only(alpha_matrix(g, alpha))
-    return (tuple(sorted(g.degrees, reverse=True)),
-            tuple(round(float(v), 8) for v in vals))
-
-
-def _dedupe_isomorphic(graphs: list[Graph], alpha: float) -> list[Graph]:
-    reps: list[tuple[tuple, Graph]] = []
+def _dedupe_isomorphic(graphs: list[Graph]) -> list[Graph]:
+    """One graph per isomorphism class, in order of first appearance; only
+    graphs with the same sorted degrees are tested for isomorphism."""
+    buckets: dict[tuple[int, ...], list[Graph]] = {}
+    reps = []
     for g in graphs:
-        fp = _fingerprint(g, alpha)
-        if not any(fp == rfp and are_isomorphic(g, rep) for rfp, rep in reps):
-            reps.append((fp, g))
-    return [g for _, g in reps]
+        bucket = buckets.setdefault(tuple(sorted(g.degrees)), [])
+        if not any(are_isomorphic(g, rep) for rep in bucket):
+            bucket.append(g)
+            reps.append(g)
+    return reps
 
 
 def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
@@ -236,7 +236,7 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
                 near.append((parts, val))
         graphs = [complete_multipartite(p) for p, _ in near]
         masks = sorted(g.edge_mask() for g in graphs)
-        reps = _dedupe_isomorphic(graphs, a)
+        reps = graphs  # distinct partitions are never isomorphic
         solved = 0
     else:
         if n > ENUMERATIVE_MAX_VERTICES:
@@ -246,7 +246,7 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
         examined = int(members.size)
         best, masks, solved = _descend_to_ties(members, n, r, a, class_tag, tie_tol)
         graphs = [Graph.from_edge_mask(n, m) for m in masks]
-        reps = _dedupe_isomorphic(graphs, a)
+        reps = _dedupe_isomorphic(graphs)
     for g in graphs:
         if not _membership_check(g, r, class_tag):
             raise SolverError("scan produced a maximizer outside the class",

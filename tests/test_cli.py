@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from alphaspec import cli
+from alphaspec import alpha_matrix, cli, complete_multipartite, eigenvalues_only
 from alphaspec.bounds import BoundRecord, BoundReport
 
 
@@ -99,6 +100,21 @@ def test_sweep_grid_errors(capsys, p4_file):
     assert rc == 64
 
 
+@pytest.mark.parametrize("grid", ["0:1:nan", "0:inf:0.5", "nan:1:0.5", "0:1:inf"])
+def test_sweep_grid_rejects_non_finite(capsys, p4_file, grid):
+    rc, _, err = run(capsys, "sweep", p4_file, "--grid", grid)
+    assert rc == 64 and "finite" in err
+
+
+@pytest.mark.parametrize("grid", ["0:1:1e-12", "0:1e300:1e-300"])
+def test_sweep_grid_over_capacity(capsys, p4_file, grid):
+    # rejected before any point is built
+    rc, _, err = run(capsys, "sweep", p4_file, "--grid", grid)
+    assert rc == 65 and f"{cli.GRID_MAX_POINTS} points" in err
+    step = 1.0 / (cli.GRID_MAX_POINTS - 1)
+    assert len(cli._parse_grid(f"0:1:{step!r}")) == cli.GRID_MAX_POINTS
+
+
 def test_closed_form_complete(capsys):
     rc, out, _ = run(capsys, "closed-form", "--family", "complete",
                      "--params", "5", "--alpha", "0.5")
@@ -114,6 +130,18 @@ def test_closed_form_multipartite_json(capsys):
     total = sum(e["multiplicity"] for e in doc["eigenvalues"])
     assert total == 6
     assert doc["eigenvalues"][0]["value"] == pytest.approx(4.0, abs=1e-9)
+
+
+def test_closed_form_multipartite_next_to_pole(capsys):
+    # alpha = 1 - 2**-53 puts every secular root within ulps of a pole
+    a = 0.9999999999999999
+    rc, out, err = run(capsys, "closed-form", "--family", "multipartite",
+                       "--params", "1", "1", "--alpha", repr(a), "--json")
+    assert rc == 0, err
+    got = [e["value"] for e in json.loads(out)["eigenvalues"]
+           for _ in range(e["multiplicity"])]
+    dense = eigenvalues_only(alpha_matrix(complete_multipartite([1, 1]), a))
+    assert np.allclose(got, dense, rtol=0.0, atol=1e-9)
 
 
 def test_closed_form_param_errors(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphaspec import (ParameterError, alpha_matrix, complete,
@@ -83,6 +83,10 @@ def test_multipartite_radius_known_values():
 @settings(max_examples=60, deadline=None)
 @given(parts=st.lists(st.integers(1, 6), min_size=2, max_size=5),
        alpha=st.floats(0.0, 1.0, exclude_max=True))
+# 1 - 2**-53: the root lies closer to the largest pole than the 1024-fold
+# steps toward it can reach without landing on the pole itself
+@example(parts=[1, 1], alpha=0.9999999999999999)
+@example(parts=[1, 6], alpha=0.9999999999999999)
 def test_multipartite_radius_matches_dense_solve(parts, alpha):
     dense = eigenvalues_only(alpha_matrix(complete_multipartite(parts), alpha))[0]
     assert multipartite_radius(parts, alpha) == pytest.approx(dense, abs=1e-9)

@@ -1,6 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
+
+from alphaspec import extremal
 
 from alphaspec import (CapacityError, Graph, chromatic_number, complete,
                        complete_bipartite, cycle, diameter, disjoint_union,
@@ -98,6 +101,95 @@ def test_are_isomorphic():
                           Graph(4, ((2, 0), (0, 3), (3, 1))))
     assert not are_isomorphic(path(4), star(4))
     assert not are_isomorphic(complete(3), Graph(3, ((0, 1), (1, 2))))
+
+
+# ---------------------------------------------------------------- oracle
+# Brute force over all n! relabelings: perms[i] maps vertex v to perms[i][v],
+# and relabeled[j, i] is the edge mask of masks[j] under perms[i].
+
+def _relabelings(n, masks):
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    shifts = np.array([[index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+                       for perm in perms.tolist()], dtype=np.int64).reshape(len(perms), -1)
+    bits = (np.asarray(masks, dtype=np.int64)[:, np.newaxis] >> np.arange(len(pairs))) & 1
+    relabeled = bits.astype(np.float64) @ (2.0 ** shifts).T  # exact below 2**53
+    return perms, relabeled.astype(np.int64)
+
+
+def _brute_orbits(n, mask, perms, relabeled_row):
+    autos = perms[relabeled_row == mask]
+    orbits = {tuple(sorted(set(autos[:, v].tolist()))) for v in range(n)}
+    return tuple(sorted(orbits))
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_vertex_orbits_match_all_relabelings(n):
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    perms, relabeled = _relabelings(n, masks)
+    for mask, row in zip(masks.tolist(), relabeled):
+        g = Graph.from_edge_mask(n, mask)
+        assert vertex_orbits(g) == _brute_orbits(n, mask, perms, row), mask
+
+
+def _assert_iso_matches_canonical(n, pairs):
+    masks = sorted({m for pair in pairs for m in pair})
+    _, relabeled = _relabelings(n, masks)
+    canon = dict(zip(masks, relabeled.min(axis=1).tolist()))
+    graphs = {m: Graph.from_edge_mask(n, m) for m in masks}
+    for a, b in pairs:
+        assert are_isomorphic(graphs[a], graphs[b]) == (canon[a] == canon[b]), (n, a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_are_isomorphic_matches_canonical_all_pairs(n):
+    masks = range(1 << (n * (n - 1) // 2))
+    pairs = [(a, b) for a in masks for b in masks
+             if bin(a).count("1") == bin(b).count("1")]
+    _assert_iso_matches_canonical(n, pairs)
+
+
+def _swap_edges(rng, g, tries=4):
+    """g after a few degree-preserving swaps ab, cd -> ad, cb."""
+    edges = set(g.edges)
+    for _ in range(tries):
+        es = sorted(edges)
+        i, j = rng.choice(len(es), 2, replace=False)
+        (a, b), (c, d) = es[i], es[j]
+        new = (tuple(sorted((a, d))), tuple(sorted((c, b))))
+        if len({a, b, c, d}) == 4 and not edges & set(new):
+            edges = (edges - {(a, b), (c, d)}) | set(new)
+    return Graph(g.n, tuple(edges))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_are_isomorphic_matches_canonical_sample(n):
+    # each graph against a relabeling of itself and against a graph with the
+    # same degrees, which the degree filter alone cannot tell apart
+    rng = np.random.default_rng(n)
+    pairs = []
+    for _ in range(150):
+        g = Graph.from_edge_mask(n, int(rng.integers(0, 1 << (n * (n - 1) // 2))))
+        perm = rng.permutation(n)
+        h = Graph(n, tuple((int(perm[u]), int(perm[v])) for u, v in g.edges))
+        pairs.append((g.edge_mask(), h.edge_mask()))
+        if g.m >= 2:
+            pairs.append((g.edge_mask(), _swap_edges(rng, h).edge_mask()))
+    _assert_iso_matches_canonical(n, pairs)
+
+
+def test_dedupe_keeps_relabelings_together():
+    # two labelings of one graph whose computed spectra at this alpha differ
+    # after rounding to 8 decimals: only an exact test keeps them together
+    g = Graph(6, ((0, 1), (0, 2), (0, 3), (2, 4), (3, 4), (4, 5)))
+    perm = [5, 4, 3, 0, 1, 2]
+    h = Graph(6, tuple((perm[u], perm[v]) for u, v in g.edges))
+    assert are_isomorphic(g, h)
+    assert extremal._dedupe_isomorphic([g, h]) == [g]
+    res = extremal.maximize_over_class(6, 5, 0.07548770249999999, "clique_free")
+    assert len(res.maximizer_reps) == 1
+    assert extremal._dedupe_isomorphic([h, path(6), g]) == [h, path(6)]
 
 
 def test_clique_edge_masks_cover_combinations():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alphaspec.extremal as extremal
-from alphaspec import (CapacityError, ParameterError, alpha_matrix,
+from alphaspec import (CapacityError, Graph, ParameterError, alpha_matrix,
                        complete_multipartite, cycle, eigenvalues_only,
                        eigvalsh_batch, enumerate_graphs, is_clique_free,
                        maximize_over_class, monotonicity_check,
@@ -144,6 +144,19 @@ def test_monotonicity_random_corpus(rng):
         g = rand_connected(rng, int(rng.integers(2, 9)), extra=int(rng.integers(0, 4)))
         rep = monotonicity_check(g, grid)
         assert rep.ok, rep.violations
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), mask_seed=st.integers(0, 2 ** 28 - 1),
+       ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True))
+def test_eigenvalues_monotone_and_lipschitz_in_alpha(n, mask_seed, ends):
+    # M(b) - M(a) = (b - a) L with 0 <= L <= n I, so by Weyl every eigenvalue
+    # rises by at least 0 and at most (b - a) n
+    a, b = sorted(ends)
+    g = Graph.from_edge_mask(n, mask_seed % (1 << (n * (n - 1) // 2)))
+    step = eigenvalues_only(alpha_matrix(g, b)) - eigenvalues_only(alpha_matrix(g, a))
+    assert np.all(step >= -1e-9), (a, b, step)
+    assert np.all(step <= (b - a) * n + 1e-9), (a, b, step)
 
 
 def test_monotonicity_grid_validation():
