@@ -48,9 +48,13 @@ class ClosedFormSpectrum:
 
 
 def _sorted_pairs(pairs) -> tuple[tuple[float, int], ...]:
-    merged = [(float(v), int(m)) for v, m in pairs if m > 0]
-    merged.sort(key=lambda p: -p[0])
-    return tuple(merged)
+    """Pairs in descending order of value; the multiplicities of exactly equal
+    values are summed into one pair."""
+    merged: dict[float, int] = {}
+    for v, m in pairs:
+        if m > 0:
+            merged[float(v)] = merged.get(float(v), 0) + int(m)
+    return tuple(sorted(merged.items(), key=lambda p: -p[0]))
 
 
 def spectrum_complete(n: int, alpha: float) -> ClosedFormSpectrum:
@@ -228,10 +232,7 @@ def spectrum_complete_multipartite(part_sizes, alpha: float) -> ClosedFormSpectr
         return ClosedFormSpectrum(((0.0, n),), source="complete_multipartite")
     if a == 1.0:
         # the degree matrix alone: every vertex in a part of size s has degree n - s
-        pairs = {}
-        for s in sizes:
-            pairs[float(n - s)] = pairs.get(float(n - s), 0) + s
-        return ClosedFormSpectrum(_sorted_pairs(pairs.items()),
+        return ClosedFormSpectrum(_sorted_pairs((n - s, s) for s in sizes),
                                   source="complete_multipartite")
     counts: dict[int, int] = {}
     for s in sizes:

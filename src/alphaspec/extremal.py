@@ -6,11 +6,13 @@ Enumerative classes list every labeled member by edge bitmask, grown one
 vertex at a time so that no K_{r+1} ever forms, but solve only the
 edge-maximal members and then walk down from the tied ones one deleted edge
 at a time: for alpha in [0, 1] the radius of M(alpha) never falls when an
-edge is added, so no other member can tie. Each step is one stacked LAPACK
-eigenvalue call. Ties are grouped into isomorphism classes exactly: by sorted
-degrees, then by a backtracking isomorphism test within each group. The
-complete-multipartite class searches integer partitions with the closed-form
-radius instead; distinct partitions are never isomorphic.
+edge is added, so no other member can tie. The edge-maximal K_{r+1}-free
+members are found by looking up each member's one-edge supersets in a bool
+table over all 2^C(n,2) masks (2 MiB at n=7). Each descent step is one
+stacked LAPACK eigenvalue call. Ties are grouped into isomorphism classes
+exactly: by sorted degrees, then by a backtracking isomorphism test within
+each group. The complete-multipartite class searches integer partitions with
+the closed-form radius instead; distinct partitions are never isomorphic.
 """
 
 import itertools
@@ -22,7 +24,7 @@ import numpy as np
 from .closed_forms import multipartite_radius
 from .combinatorics import (are_isomorphic, chromatic_number,
                             clique_edge_masks, complete_multipartite_mask,
-                            is_clique_free, set_partitions)
+                            set_partitions)
 from .eigensolver import eigvalsh_batch, full_spectrum
 from .errors import CapacityError, ParameterError, SolverError
 from .graphs import (Graph, complete_multipartite, components, edge_order,
@@ -51,6 +53,7 @@ class ExtremalResult:
     candidates_examined: int
     matrices_solved: int  # matrices passed to the batched eigensolver
     elapsed_seconds: float
+    maximal_members: int = 0  # edge-maximal members solved first; 0 for the partition search
 
 
 def _edge_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,23 +123,31 @@ def _batch_alpha_matrices(masks: np.ndarray, n: int, alpha: float,
 
 def _maximal_member_masks(n: int, r: int, class_tag: str,
                           members: np.ndarray) -> np.ndarray:
-    """The class members to which no edge can be added without leaving the class."""
+    """The class members to which no edge can be added without leaving the class.
+
+    r_chromatic lists them directly. For clique_free, whose members are closed
+    under edge deletion, a member is edge-maximal exactly when none of its
+    one-edge supersets is a member: one gather per edge bit in a bool table
+    over all 2^C(n,2) masks (2 MiB at n=7). Members found non-maximal drop out
+    of the later passes, so the result keeps the ascending order of members.
+    """
     if class_tag == "r_chromatic":
         return _multipartite_masks(n, r)
-    full = (1 << (n * (n - 1) // 2)) - 1
-    blocked = np.zeros(members.shape, dtype=np.int64)
-    for cm in clique_edge_masks(n, r + 1):
-        # a non-edge is blocked when it is the only edge a clique still misses
-        miss = cm & ~members
-        blocked |= np.where((miss & (miss - 1)) == 0, miss, 0)
-    return members[(members | blocked) == full]
+    n_edges = n * (n - 1) // 2
+    inclass = np.zeros(1 << n_edges, dtype=bool)
+    inclass[members] = True
+    for b in range(n_edges):
+        up = members | (np.int64(1) << b)
+        members = members[(up == members) | ~inclass[up]]
+    return members
 
 
 def _descend_to_ties(members: np.ndarray, n: int, r: int, alpha: float,
                      class_tag: str, tie_tol: float
-                     ) -> tuple[float, list[int], int]:
+                     ) -> tuple[float, list[int], int, int]:
     """Maximum radius over the members, the ascending masks within tie_tol of
-    it, and the number of matrices solved to find them.
+    it, the number of matrices solved to find them and the number of
+    edge-maximal members among them.
 
     Adding an edge raises M(alpha) entrywise, so the radius never falls along
     a chain of edge additions, and both enumerative classes are closed under
@@ -146,8 +157,10 @@ def _descend_to_ties(members: np.ndarray, n: int, r: int, alpha: float,
     """
     us, vs = _edge_arrays(n)
     bit = np.int64(1) << np.arange(us.size, dtype=np.int64)
-    seen = np.zeros(1 << us.size, dtype=bool)
     level = _maximal_member_masks(n, r, class_tag, members)
+    maximal = int(level.size)
+    # allocated only now, so that it never coexists with the maximality table
+    seen = np.zeros(1 << us.size, dtype=bool)
     found_masks, found_tops = [], []
     best = -np.inf
     solved = 0
@@ -166,16 +179,32 @@ def _descend_to_ties(members: np.ndarray, n: int, r: int, alpha: float,
     masks = np.concatenate(found_masks)
     # a later level may have raised best past some earlier ties
     keep = np.concatenate(found_tops) >= best - tie_tol
-    return best, np.sort(masks[keep]).tolist(), solved
+    return best, np.sort(masks[keep]).tolist(), solved, maximal
 
 
-def _membership_check(g: Graph, r: int, class_tag: str) -> bool:
+def _membership_check(masks: list[int], graphs: list[Graph], n: int, r: int,
+                      class_tag: str) -> int | None:
+    """The mask of the first graph outside the class, or None.
+
+    clique_free checks every mask against every (r+1)-clique at once and
+    reports the least offending mask; the other classes test graph by graph
+    in the order given.
+    """
     if class_tag == "clique_free":
-        return is_clique_free(g, r + 1)
-    if class_tag == "r_chromatic":
-        return chromatic_number(g) <= r
-    parts = sorted((len(vs) for _, vs in _cocomponents(g)), reverse=True)
-    return len(parts) <= max(r, 1) and are_isomorphic(g, complete_multipartite(parts))
+        arr = np.array(masks, dtype=np.int64)
+        cliques = np.array(clique_edge_masks(n, r + 1), dtype=np.int64)
+        bad = ((arr[:, np.newaxis] & cliques) == cliques).any(axis=1)
+        return int(arr[bad].min()) if bad.any() else None
+    for g in graphs:
+        if class_tag == "r_chromatic":
+            inside = chromatic_number(g) <= r
+        else:
+            parts = sorted((len(vs) for _, vs in _cocomponents(g)), reverse=True)
+            inside = (len(parts) <= max(r, 1)
+                      and are_isomorphic(g, complete_multipartite(parts)))
+        if not inside:
+            return g.edge_mask()
+    return None
 
 
 def _cocomponents(g: Graph):
@@ -237,24 +266,25 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
         graphs = [complete_multipartite(p) for p, _ in near]
         masks = sorted(g.edge_mask() for g in graphs)
         reps = graphs  # distinct partitions are never isomorphic
-        solved = 0
+        solved = maximal = 0
     else:
         if n > ENUMERATIVE_MAX_VERTICES:
             raise CapacityError(
                 f"enumerative scan limited to n <= {ENUMERATIVE_MAX_VERTICES}, got n={n}")
         members = class_member_masks(n, r, class_tag)
         examined = int(members.size)
-        best, masks, solved = _descend_to_ties(members, n, r, a, class_tag, tie_tol)
+        best, masks, solved, maximal = _descend_to_ties(
+            members, n, r, a, class_tag, tie_tol)
         graphs = [Graph.from_edge_mask(n, m) for m in masks]
         reps = _dedupe_isomorphic(graphs)
-    for g in graphs:
-        if not _membership_check(g, r, class_tag):
-            raise SolverError("scan produced a maximizer outside the class",
-                              n=n, r=r, alpha=a, mask=g.edge_mask())
+    outside = _membership_check(masks, graphs, n, r, class_tag)
+    if outside is not None:
+        raise SolverError("scan produced a maximizer outside the class",
+                          n=n, r=r, alpha=a, mask=outside)
     elapsed = time.perf_counter() - t0
     return ExtremalResult(class_tag, n, r, float(a), float(best),
                           tuple(int(m) for m in masks), tuple(reps),
-                          examined, solved, elapsed)
+                          examined, solved, elapsed, maximal)
 
 
 @dataclass(frozen=True)
@@ -271,6 +301,7 @@ class TuranCheck:
     solved: int
     elapsed_ms: float
     detail: str = ""
+    maximal: int = 0  # edge-maximal members among the solved
 
     def to_json_obj(self, n: int, r: int) -> dict:
         return {
@@ -285,6 +316,7 @@ class TuranCheck:
                                      for el in self.maximizer_edge_lists],
             "examined": self.examined,
             "solved": self.solved,
+            "maximal": self.maximal,
             "elapsed_ms": self.elapsed_ms,
             "status": self.status,
             "detail": self.detail,
@@ -368,6 +400,7 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
             maximizer_edge_lists=tuple(g.edges for g in res.maximizer_reps),
             examined=res.candidates_examined,
             solved=res.matrices_solved,
+            maximal=res.maximal_members,
             elapsed_ms=res.elapsed_seconds * 1000.0,
             detail="; ".join(problems),
         ))

@@ -254,3 +254,21 @@ def test_output_deterministic(capsys, p4_file):
     rc2, out2, _ = run(capsys, "sweep", p4_file, "--grid", "0:1:0.1")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_closed_form_prints_each_value_once(capsys):
+    rc, out, _ = run(capsys, "closed-form", "--family", "complete",
+                     "--params", "4", "--alpha", "1")
+    assert rc == 0 and "eigenvalues: 3 (x4)" in out
+    rc, out, _ = run(capsys, "closed-form", "--family", "multipartite",
+                     "--params", "1", "6", "3", "--alpha", "0.9999999999999999")
+    assert rc == 0 and "6.999999999999999 (x3)" in out
+
+
+def test_verify_turan_json_counts_maximal_members(capsys):
+    rc, out, _ = run(capsys, "verify-turan", "--n", "6", "--r", "3",
+                     "--alphas", "0.3", "--json")
+    assert rc == 0
+    check = json.loads(out)["checks"][0]
+    assert check["maximal"] == 162
+    assert check["maximal"] <= check["solved"] < check["examined"]

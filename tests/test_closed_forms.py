@@ -158,3 +158,16 @@ def test_multipartite_alpha_one_is_degree_spectrum():
     cf = spectrum_complete_multipartite([3, 2, 1], 1.0)
     # degrees: n - part size, with multiplicity equal to the part size
     assert cf.values_with_multiplicity == ((5.0, 1), (4.0, 2), (3.0, 3))
+
+
+def test_equal_values_share_one_pair():
+    # at alpha = 1, M(1) of K_4 is 3 I: one value of multiplicity 4
+    cf = spectrum_complete(4, 1.0)
+    assert cf.values_with_multiplicity == ((3.0, 4),)
+    assert np.array_equal(cf.expand(), [3.0, 3.0, 3.0, 3.0])
+    # next to a pole the secular root can round to the pole value itself
+    cf = spectrum_complete_multipartite([1, 6, 3], 0.9999999999999999)
+    values = [v for v, _ in cf.values_with_multiplicity]
+    assert len(set(values)) == len(values)
+    assert cf.n == 10
+    assert dict(cf.values_with_multiplicity)[6.999999999999999] == 3

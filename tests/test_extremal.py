@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alphaspec.extremal as extremal
-from alphaspec import (CapacityError, Graph, ParameterError, alpha_matrix,
-                       complete_multipartite, cycle, eigenvalues_only,
-                       eigvalsh_batch, enumerate_graphs, is_clique_free,
-                       maximize_over_class, monotonicity_check,
+from alphaspec import (CapacityError, Graph, ParameterError, SolverError,
+                       alpha_matrix, complete_multipartite, cycle,
+                       eigenvalues_only, eigvalsh_batch, enumerate_graphs,
+                       is_clique_free, maximize_over_class, monotonicity_check,
                        multipartite_radius, path, star, turan, verify_turan)
 from alphaspec.combinatorics import (clique_edge_masks,
                                      complete_multipartite_mask,
@@ -197,6 +197,18 @@ def _filtered_members(n, r, class_tag):
     return masks[keep]
 
 
+def _clique_blocked_maximal(n, r, members):
+    """clique_free members to which no edge can be added: a non-edge is blocked
+    when it is the only edge some (r+1)-clique still misses, and a member is
+    maximal when its edges and blocked non-edges cover every pair."""
+    full = (1 << (n * (n - 1) // 2)) - 1
+    blocked = np.zeros(members.shape, dtype=np.int64)
+    for cm in clique_edge_masks(n, r + 1):
+        miss = cm & ~members
+        blocked |= np.where((miss & (miss - 1)) == 0, miss, 0)
+    return members[(members | blocked) == full]
+
+
 def _assert_members_match_filter(n, r, class_tag):
     got = extremal.class_member_masks(n, r, class_tag)
     want = _filtered_members(n, r, class_tag)
@@ -218,6 +230,55 @@ def test_class_members_match_filter(n, class_tag):
                                          (2, "r_chromatic")])
 def test_class_members_match_filter_n7(r, class_tag):
     _assert_members_match_filter(7, r, class_tag)
+
+
+def _assert_maximal_match_clique_rule(n, r):
+    members = extremal.class_member_masks(n, r, "clique_free")
+    got = extremal._maximal_member_masks(n, r, "clique_free", members)
+    assert got.dtype == np.int64, (n, r)
+    assert np.array_equal(got, _clique_blocked_maximal(n, r, members)), (n, r)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_maximal_members_match_clique_rule(n):
+    for r in range(1, n + 2):
+        _assert_maximal_match_clique_rule(n, r)
+        # the lookup holds for any class closed under edge deletion: on the
+        # r-colorable graphs it finds the complete multipartite ones
+        colorable = extremal.class_member_masks(n, r, "r_chromatic")
+        got = extremal._maximal_member_masks(n, r, "clique_free", colorable)
+        assert np.array_equal(got, np.sort(extremal._multipartite_masks(n, r))), (n, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_maximal_members_match_clique_rule_n7(r):
+    _assert_maximal_match_clique_rule(7, r)
+
+
+@pytest.mark.parametrize("n,r,class_tag,maximal", [(7, 2, "clique_free", 1743),
+                                                   (6, 3, "clique_free", 162),
+                                                   (7, 2, "r_chromatic", 63)])
+def test_maximal_members_counted(n, r, class_tag, maximal):
+    res = maximize_over_class(n, r, 0.3, class_tag)
+    assert res.maximal_members == maximal
+    assert maximal <= res.matrices_solved
+    assert maximize_over_class(n, r, 0.3, "complete_multipartite").maximal_members == 0
+
+
+@pytest.mark.parametrize("class_tag,outside", [
+    ("clique_free", Graph(5, ((0, 1), (0, 2), (1, 2)))),  # a triangle
+    ("r_chromatic", cycle(5)),  # an odd cycle
+])
+def test_membership_check_rejects_outside_tie(monkeypatch, class_tag, outside):
+    inside = Graph(5, ((0, 2), (3, 4))).edge_mask()
+    bad = outside.edge_mask()
+    bigger = bad | inside  # also outside the class, but a larger mask
+    masks = sorted({inside, bad, bigger})
+    monkeypatch.setattr(extremal, "_descend_to_ties",
+                        lambda *args: (1.0, masks, len(masks), 1))
+    with pytest.raises(SolverError) as info:
+        maximize_over_class(5, 2, 0.3, class_tag)
+    assert info.value.diagnostics["mask"] == bad
 
 
 # ---------------------------------------------------------------- oracle
