@@ -124,26 +124,19 @@ def maxcut(g: Graph) -> int:
 
 
 def diameter(g: Graph):
-    """Largest BFS eccentricity, or None when g is disconnected (n >= 2)."""
+    """Least k at which (I + A)^k, kept as its 0/1 pattern, has no zero entry
+    (dist(u, v) <= k exactly where it is positive); None when g is disconnected."""
     if g.n <= 1:
         return 0
-    far = 0
-    for src in range(g.n):
-        dist = [-1] * g.n
-        dist[src] = 0
-        queue = [src]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for w in g.neighbors[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if len(queue) < g.n:
+    step = np.eye(g.n) + g.adjacency
+    reach = step > 0
+    k = 1
+    while not reach.all():
+        grown = reach @ step > 0
+        if np.array_equal(grown, reach):
             return None
-        far = max(far, max(dist))
-    return far
+        reach, k = grown, k + 1
+    return k
 
 
 def _find_isomorphism(g: Graph, h: Graph, pin=None):

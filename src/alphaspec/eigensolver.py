@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .graphs import Graph
+from .graphs import Graph, components, disjoint_union
 from .matrices import alpha_matrix, check_alpha
 
 PSD_BISECTION_MAX_ITER = 200
@@ -145,11 +145,7 @@ def distinct_count(s: Spectrum, cluster_tol: float = 1e-8) -> int:
     if s.n == 0:
         return 0
     gap = cluster_tol * max(1.0, s.spread())
-    count = 1
-    for i in range(1, s.n):
-        if s.values[i - 1] - s.values[i] > gap:
-            count += 1
-    return count
+    return 1 + int(np.count_nonzero(s.values[:-1] - s.values[1:] > gap))
 
 
 def psd_threshold(g: Graph, tol: float = 1e-10) -> float:
@@ -157,9 +153,15 @@ def psd_threshold(g: Graph, tol: float = 1e-10) -> float:
 
     The minimum eigenvalue is nondecreasing in alpha; returns an alpha whose
     minimum eigenvalue is within tol of zero (or 0.0 when already PSD there).
+    Isolated vertices pin it at 0, so they are dropped: on each component with
+    an edge it is concave and reaches the minimum degree at alpha = 1.
     """
     if g.n == 0:
         raise ParameterError("positive semidefinite threshold needs a nonempty graph")
+    if g.m == 0:
+        return 0.0
+    if g.min_degree() == 0:
+        g = disjoint_union(c for c, _ in components(g) if c.m)
 
     def lam_min(a: float) -> float:
         return float(eigenvalues_only(alpha_matrix(g, a))[-1])

@@ -25,11 +25,11 @@ from .closed_forms import multipartite_radius
 from .combinatorics import (are_isomorphic, chromatic_number,
                             clique_edge_masks, complete_multipartite_mask,
                             set_partitions)
-from .eigensolver import eigvalsh_batch, full_spectrum
+from .eigensolver import alpha_sweep, eigvalsh_batch
 from .errors import CapacityError, ParameterError, SolverError
 from .graphs import (Graph, complete_multipartite, components, edge_order,
                      is_connected, split, turan, turan_part_sizes)
-from .matrices import alpha_matrix, check_alpha
+from .matrices import _blend, check_alpha
 
 ENUMERATIVE_MAX_VERTICES = 7
 PARTITION_MAX_VERTICES = 60
@@ -114,11 +114,7 @@ def _batch_alpha_matrices(masks: np.ndarray, n: int, alpha: float,
     adj = np.zeros((b, n, n))
     adj[:, us, vs] = bits
     adj[:, vs, us] = bits
-    deg = adj.sum(axis=2)
-    out = (1.0 - alpha) * adj
-    idx = np.arange(n)
-    out[:, idx, idx] = alpha * deg
-    return out
+    return _blend(adj, alpha, 1.0 - alpha)
 
 
 def _maximal_member_masks(n: int, r: int, class_tag: str,
@@ -424,9 +420,8 @@ def monotonicity_check(g: Graph, grid) -> MonotonicityReport:
         raise ParameterError("grid needs at least two alphas")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ParameterError("grid must be strictly increasing")
-    for a in alphas:
-        check_alpha(a)
-    tab = np.array([full_spectrum(alpha_matrix(g, a)).values for a in alphas])
+    sweep = alpha_sweep(g, alphas)
+    tab = sweep.table()
     steps = np.diff(np.array(alphas))
     problems = []
     diffs = np.diff(tab, axis=0)
@@ -441,7 +436,7 @@ def monotonicity_check(g: Graph, grid) -> MonotonicityReport:
                 problems.append(
                     f"lambda_{k + 1} step {i} exceeds the Lipschitz rate by {excess:.3e}")
     if g.n >= 1 and len(alphas) >= 3:
-        slopes = diffs / steps[:, np.newaxis]
+        slopes = sweep.difference_quotients()
         hmin = np.minimum(steps[:-1], steps[1:])
         top_curve = (slopes[1:, 0] - slopes[:-1, 0]) * hmin
         bot_curve = (slopes[1:, g.n - 1] - slopes[:-1, g.n - 1]) * hmin

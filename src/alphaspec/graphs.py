@@ -9,6 +9,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import GraphFormatError, ParameterError
 
 GRAPH_FAMILIES = (
@@ -82,6 +84,16 @@ class Graph:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         return tuple(bits)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Dense 0/1 adjacency matrix: a read-only float64 (n, n) array, built once."""
+        adj = np.zeros((self.n, self.n))
+        ends = itertools.chain.from_iterable(self.edges)
+        us, vs = np.fromiter(ends, dtype=np.intp, count=2 * self.m).reshape(-1, 2).T
+        adj[us, vs] = adj[vs, us] = 1.0
+        adj.setflags(write=False)
+        return adj
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:

@@ -1,8 +1,9 @@
 """Dense symmetric matrix assembly for a graph: adjacency, degree, Laplacians,
 and the convex interpolation family M(alpha) = alpha*D + (1-alpha)*A.
 
-Matrices are numpy float64 arrays written symmetrically entry by entry, so
-entries (i, j) and (j, i) are always bit-identical.
+Every kind is one blend d_coef*D + a_coef*A of the graph's cached adjacency
+array (Graph.adjacency), so entries (i, j) and (j, i) are always
+bit-identical, and every result is a fresh float64 array.
 """
 
 import json
@@ -12,7 +13,10 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .graphs import Graph
 
-MATRIX_KINDS = ("adjacency", "degree", "laplacian", "signless", "alpha")
+# kind -> (d_coef, a_coef); "alpha" takes (alpha, 1 - alpha)
+_KIND_COEFS = {"adjacency": (0.0, 1.0), "degree": (1.0, 0.0),
+               "laplacian": (1.0, -1.0), "signless": (1.0, 1.0)}
+MATRIX_KINDS = (*_KIND_COEFS, "alpha")
 
 
 def check_alpha(alpha: float) -> float:
@@ -22,39 +26,25 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _blend(adj: np.ndarray, d_coef: float, a_coef: float) -> np.ndarray:
+    """d_coef*D + a_coef*A for one 0/1 adjacency matrix or a (b, n, n) stack."""
+    out = a_coef * adj
+    out += 0.0  # a negative a_coef leaves -0.0 on non-edges; this makes it +0.0
+    idx = np.arange(adj.shape[-1])
+    out[..., idx, idx] = d_coef * adj.sum(axis=-1)
+    return out
+
+
 def assemble(g: Graph, kind: str, alpha: float | None = None) -> np.ndarray:
     """Assemble the requested matrix of g as an exactly symmetric float64 array."""
     if kind not in MATRIX_KINDS:
         raise ParameterError(f"unknown matrix kind {kind!r}")
-    n = g.n
-    mat = np.zeros((n, n))
-    deg = g.degrees
-    if kind == "adjacency":
-        for u, v in g.edges:
-            mat[u, v] = mat[v, u] = 1.0
-    elif kind == "degree":
-        for v in range(n):
-            mat[v, v] = float(deg[v])
-    elif kind == "laplacian":
-        for v in range(n):
-            mat[v, v] = float(deg[v])
-        for u, v in g.edges:
-            mat[u, v] = mat[v, u] = -1.0
-    elif kind == "signless":
-        for v in range(n):
-            mat[v, v] = float(deg[v])
-        for u, v in g.edges:
-            mat[u, v] = mat[v, u] = 1.0
-    else:
-        if alpha is None:
-            raise ParameterError("kind 'alpha' requires the alpha parameter")
-        a = check_alpha(alpha)
-        off = 1.0 - a
-        for v in range(n):
-            mat[v, v] = a * deg[v]
-        for u, v in g.edges:
-            mat[u, v] = mat[v, u] = off
-    return mat
+    if kind != "alpha":
+        return _blend(g.adjacency, *_KIND_COEFS[kind])
+    if alpha is None:
+        raise ParameterError("kind 'alpha' requires the alpha parameter")
+    a = check_alpha(alpha)
+    return _blend(g.adjacency, a, 1.0 - a)
 
 
 def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:

@@ -12,6 +12,7 @@ from alphaspec import (CapacityError, Graph, chromatic_number, complete,
 from alphaspec.combinatorics import (are_isomorphic, clique_edge_masks,
                                      complete_multipartite_mask,
                                      integer_partitions, set_partitions)
+from conftest import rand_graph
 
 
 def brute_has_clique(g: Graph, k: int) -> bool:
@@ -87,6 +88,44 @@ def test_diameter():
     assert diameter(complete(4)) == 1
     assert diameter(Graph(1, ())) == 0
     assert diameter(disjoint_union([complete(2), complete(2)])) is None
+
+
+def _bfs_diameter(g):
+    """Largest BFS eccentricity, or None when g is disconnected (n >= 2)."""
+    if g.n <= 1:
+        return 0
+    far = 0
+    for src in range(g.n):
+        dist = {src: 0}
+        queue = [src]
+        for u in queue:
+            for w in g.neighbors[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if len(dist) < g.n:
+            return None
+        far = max(far, max(dist.values()))
+    return far
+
+
+def test_diameter_matches_bfs_on_every_small_graph():
+    for n in range(6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = Graph.from_edge_mask(n, mask)
+            assert diameter(g) == _bfs_diameter(g), (n, mask)
+
+
+def test_diameter_matches_bfs_on_random_graphs(rng):
+    seen = set()
+    for n in (6, 10, 20, 40, 80, 120):
+        for p in (0.02, 0.05, 0.15, 0.5):
+            g = rand_graph(rng, n, p)
+            want = _bfs_diameter(g)
+            assert diameter(g) == want, (n, p)
+            seen.add(want is None)
+    assert diameter(path(120)) == 119
+    assert seen == {True, False}
 
 
 def test_vertex_orbits():

@@ -95,13 +95,29 @@ def test_extreme_pair_perron_positive(rng):
         assert bottom.value <= top.value
 
 
-def test_distinct_count():
+def _loop_distinct_count(s, cluster_tol=1e-8):
+    if s.n == 0:
+        return 0
+    gap = cluster_tol * max(1.0, s.spread())
+    count = 1
+    for i in range(1, s.n):
+        if s.values[i - 1] - s.values[i] > gap:
+            count += 1
+    return count
+
+
+def test_distinct_count(rng):
     s = full_spectrum(alpha_matrix(complete(5), 0.2))
     assert distinct_count(s) == 2
     s = full_spectrum(alpha_matrix(path(4), 0.3))
     assert distinct_count(s) == 4
     s = full_spectrum(np.zeros((3, 3)))
     assert distinct_count(s) == 1
+    for _ in range(200):
+        g = rand_graph(rng, int(rng.integers(0, 13)), float(rng.random()))
+        s = full_spectrum(alpha_matrix(g, float(rng.choice([0.0, 0.5, rng.random()]))))
+        for tol in (1e-8, 1e-3):
+            assert distinct_count(s, tol) == _loop_distinct_count(s, tol)
 
 
 def test_psd_threshold_complete_graphs():
@@ -118,6 +134,15 @@ def test_psd_threshold_bipartite_is_half():
     for g in (path(4), cycle(6), complete_bipartite(2, 5), star(7)):
         assert psd_threshold(g) == pytest.approx(0.5, abs=1e-10)
     assert psd_threshold(edgeless(4)) == 0.0
+
+
+def test_psd_threshold_ignores_isolated_vertices():
+    # an isolated vertex pins the smallest eigenvalue at 0 for every alpha
+    paw = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    assert psd_threshold(disjoint_union([paw, edgeless(1)])) == psd_threshold(paw)
+    assert psd_threshold(paw) == pytest.approx(0.4215351653983817, abs=1e-9)
+    c5_2k1 = disjoint_union([edgeless(1), cycle(5), edgeless(1)])
+    assert psd_threshold(c5_2k1) == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-9)
 
 
 def test_alpha_sweep_csv_and_quotients():

@@ -334,3 +334,33 @@ def test_descent_matches_brute_force_n7(alpha):
        alpha=st.floats(0.0, 1.0), class_tag=st.sampled_from(["clique_free", "r_chromatic"]))
 def test_descent_matches_brute_force_random_alpha(n, r_offset, alpha, class_tag):
     _assert_matches_brute_force(n, 1 + r_offset % (n + 1), alpha, class_tag)
+
+
+# ---------------------------------------------------------------- batch assembly
+# Reference: the scan's stacked assembly with its own degree and diagonal
+# code. _batch_alpha_matrices must match it, and the single-graph alpha_matrix,
+# byte for byte.
+
+def _loop_batch_alpha_matrices(masks, n, alpha, us, vs):
+    bits = ((masks[:, np.newaxis] >> np.arange(us.size)[np.newaxis, :]) & 1
+            ).astype(np.float64)
+    adj = np.zeros((masks.size, n, n))
+    adj[:, us, vs] = bits
+    adj[:, vs, us] = bits
+    out = (1.0 - alpha) * adj
+    idx = np.arange(n)
+    out[:, idx, idx] = alpha * adj.sum(axis=2)
+    return out
+
+
+def test_batch_alpha_matrices_bytes_match(rng):
+    for n in range(1, 8):
+        us, vs = extremal._edge_arrays(n)
+        masks = rng.integers(0, 1 << us.size, size=50).astype(np.int64)
+        for alpha in (0.0, 1.0 / 3.0, 0.5, 1.0 - 2.0 ** -53, 1.0):
+            got = extremal._batch_alpha_matrices(masks, n, alpha, us, vs)
+            want = _loop_batch_alpha_matrices(masks, n, alpha, us, vs)
+            assert got.tobytes() == want.tobytes(), (n, alpha)
+            single = np.array([alpha_matrix(Graph.from_edge_mask(n, int(m)), alpha)
+                               for m in masks])
+            assert got.tobytes() == single.tobytes(), (n, alpha)

@@ -8,6 +8,7 @@ from alphaspec import (DimensionError, Graph, ParameterError, alpha_matrix,
                        assemble, complete, cycle, identity_residual,
                        matrix_from_json, matrix_to_json, path, quadratic_form,
                        star, vertex_score)
+from alphaspec.matrices import MATRIX_KINDS
 from conftest import rand_graph
 
 
@@ -93,3 +94,70 @@ def test_matrix_json_roundtrip():
 def test_alpha_half_is_half_signless():
     g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)))
     assert np.array_equal(alpha_matrix(g, 0.5) * 2.0, assemble(g, "signless"))
+
+
+# ---------------------------------------------------------------- oracle
+# Reference: one loop per kind writing each entry. assemble must match it byte
+# for byte, so a -0.0, which matrix_to_json prints as "-0", is caught where ==
+# is blind.
+
+def _loop_assemble(g, kind, alpha=None):
+    n = g.n
+    mat = np.zeros((n, n))
+    deg = g.degrees
+    if kind == "adjacency":
+        for u, v in g.edges:
+            mat[u, v] = mat[v, u] = 1.0
+    elif kind == "degree":
+        for v in range(n):
+            mat[v, v] = float(deg[v])
+    elif kind == "laplacian":
+        for v in range(n):
+            mat[v, v] = float(deg[v])
+        for u, v in g.edges:
+            mat[u, v] = mat[v, u] = -1.0
+    elif kind == "signless":
+        for v in range(n):
+            mat[v, v] = float(deg[v])
+        for u, v in g.edges:
+            mat[u, v] = mat[v, u] = 1.0
+    else:
+        off = 1.0 - alpha
+        for v in range(n):
+            mat[v, v] = alpha * deg[v]
+        for u, v in g.edges:
+            mat[u, v] = mat[v, u] = off
+    return mat
+
+
+ORACLE_ALPHAS = (0.0, 1.0 / 3.0, 0.5, 1.0 - 2.0 ** -53, 1.0)
+
+
+def _assert_assemble_bytes(g):
+    for kind in MATRIX_KINDS:
+        for a in ORACLE_ALPHAS if kind == "alpha" else (None,):
+            got = assemble(g, kind, a)
+            want = _loop_assemble(g, kind, a)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (g, kind, a)
+
+
+def test_assemble_bytes_match_loops(rng):
+    for n in range(15):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            _assert_assemble_bytes(rand_graph(rng, n, p))
+    for n in (40, 120):
+        _assert_assemble_bytes(rand_graph(rng, n, 0.2))
+
+
+def test_adjacency_is_read_only_and_results_are_fresh():
+    g = cycle(5)
+    assert not g.adjacency.flags.writeable
+    with pytest.raises(ValueError):
+        g.adjacency[0, 2] = 1.0
+    for kind in MATRIX_KINDS:
+        first = assemble(g, kind, 0.4)
+        want = first.copy()
+        first[:] = 7.0
+        assert assemble(g, kind, 0.4).tobytes() == want.tobytes()
+    assert g.adjacency.tobytes() == _loop_assemble(g, "adjacency").tobytes()
