@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .graphs import Graph, edge_order
+from .graphs import Graph, edge_order, pairs_mask
 
 ENUMERATION_MAX_VERTICES = 8
 MAXCUT_MAX_VERTICES = 24
@@ -125,18 +125,30 @@ def maxcut(g: Graph) -> int:
 
 def diameter(g: Graph):
     """Least k at which (I + A)^k, kept as its 0/1 pattern, has no zero entry
-    (dist(u, v) <= k exactly where it is positive); None when g is disconnected."""
+    (dist(u, v) <= k exactly where it is positive); None when g is disconnected.
+
+    The pattern is squared until it is full, then k is found by descending
+    over the saved powers, so a path costs O(log(diameter) * n^3). Products
+    run in float64, which has a BLAS path; the counts they hold are exact.
+    """
     if g.n <= 1:
         return 0
-    step = np.eye(g.n) + g.adjacency
-    reach = step > 0
-    k = 1
+    reach = np.eye(g.n) + g.adjacency  # dist <= 1
+    powers = []  # powers[i]: the pattern of dist <= 2^i, none of them full
     while not reach.all():
-        grown = reach @ step > 0
-        if np.array_equal(grown, reach):
+        powers.append(reach)
+        reach = np.minimum(reach @ reach, 1.0)
+        if np.array_equal(reach, powers[-1]):
             return None
-        reach, k = grown, k + 1
-    return k
+    if not powers:
+        return 1
+    # the largest k whose pattern is not full is diameter - 1
+    reach, k = powers[-1], 1 << (len(powers) - 1)
+    for i in range(len(powers) - 2, -1, -1):
+        step = np.minimum(reach @ powers[i], 1.0)
+        if not step.all():
+            reach, k = step, k + (1 << i)
+    return k + 1
 
 
 def _find_isomorphism(g: Graph, h: Graph, pin=None):
@@ -223,44 +235,27 @@ def enumerate_graphs(n: int, predicate=None, start: int = 0, stop=None):
             f"enumeration limited to n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
     if n < 0:
         raise ParameterError("vertex count must be nonnegative")
-    order = edge_order(n)
-    total = 1 << len(order)
+    total = 1 << len(edge_order(n))
     if stop is None:
         stop = total
     if not (0 <= start <= stop <= total):
         raise ParameterError("bad bitmask range")
-    nbits = len(order)
     for mask in range(start, stop):
-        edges = tuple(order[i] for i in range(nbits) if mask >> i & 1)
-        g = Graph(n, edges)
+        g = Graph.from_edge_mask(n, mask)
         if predicate is None or predicate(g):
             yield g
 
 
 def clique_edge_masks(n: int, k: int) -> list[int]:
     """Edge bitmask of every k-vertex clique on 0..n-1, in subset order."""
-    index = {pair: i for i, pair in enumerate(edge_order(n))}
-    out = []
-    for sub in itertools.combinations(range(n), k):
-        mask = 0
-        for pair in itertools.combinations(sub, 2):
-            mask |= 1 << index[pair]
-        out.append(mask)
-    return out
+    return [pairs_mask(n, itertools.combinations(sub, 2))
+            for sub in itertools.combinations(range(n), k)]
 
 
 def complete_multipartite_mask(n: int, blocks) -> int:
     """Edge bitmask of the complete multipartite graph with the given vertex blocks."""
-    index = {pair: i for i, pair in enumerate(edge_order(n))}
-    block_of = {}
-    for b, vs in enumerate(blocks):
-        for v in vs:
-            block_of[v] = b
-    mask = 0
-    for (u, v), i in index.items():
-        if block_of[u] != block_of[v]:
-            mask |= 1 << i
-    return mask
+    block_of = {v: b for b, vs in enumerate(blocks) for v in vs}
+    return pairs_mask(n, ((u, v) for u, v in edge_order(n) if block_of[u] != block_of[v]))
 
 
 def set_partitions(n: int, max_blocks: int):

@@ -3,8 +3,9 @@
 Every solve runs LAPACK through numpy.linalg: eigh for values with vectors,
 eigvalsh for values only, stacked over a batch for many small matrices. The
 guards around it are the package's own: inputs must be finite and exactly
-symmetric, every single-matrix solve is verified against trace identities,
-and eigenvector signs are normalized so results are deterministic.
+symmetric, every solve, batched or not, is verified against trace
+identities, and eigenvector signs are normalized so results are
+deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -79,15 +80,45 @@ def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(peak < 0.0, -1.0, 1.0)
 
 
-def _trace_check(mat: np.ndarray, values: np.ndarray):
-    tr = float(np.trace(mat))
-    tr2 = float((mat * mat).sum())
-    s1 = float(values.sum())
-    s2 = float((values * values).sum())
-    if abs(s1 - tr) > 1e-10 * max(1.0, float(np.abs(values).sum())):
-        raise SolverError("trace identity violated", trace=tr, eigensum=s1)
-    if abs(s2 - tr2) > 1e-10 * max(1.0, tr2):
-        raise SolverError("squared trace identity violated", trace2=tr2, eigensum2=s2)
+def _trace_identities(mats: np.ndarray, values: np.ndarray):
+    """Per matrix of a (b, n, n) stack with its (b, n) eigenvalues: whether the
+    trace and the squared-trace identity fail, each to a relative 1e-10, and
+    the four sums compared (trace, eigensum, trace2, eigensum2)."""
+    tr = mats.diagonal(0, 1, 2).sum(axis=1)
+    tr2 = np.einsum("bij,bij->b", mats, mats)
+    s1 = values.sum(axis=1)
+    s2 = (values * values).sum(axis=1)
+    bad1 = np.abs(s1 - tr) > 1e-10 * np.maximum(1.0, np.abs(values).sum(axis=1))
+    bad2 = np.abs(s2 - tr2) > 1e-10 * np.maximum(1.0, tr2)
+    return bad1, bad2, (tr, s1, tr2, s2)
+
+
+def _trace_check(mats: np.ndarray, values: np.ndarray):
+    """Raise SolverError for the first matrix of the stack that breaks the
+    trace identity, else for the first that breaks the squared one."""
+    bad1, bad2, (tr, s1, tr2, s2) = _trace_identities(mats, values)
+    if bad1.any():
+        i = np.argmax(bad1)
+        raise SolverError("trace identity violated",
+                          trace=float(tr[i]), eigensum=float(s1[i]))
+    if bad2.any():
+        i = np.argmax(bad2)
+        raise SolverError("squared trace identity violated",
+                          trace2=float(tr2[i]), eigensum2=float(s2[i]))
+
+
+def _checked_eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues, descending, of a validated (b, n, n) stack, every matrix's
+    values verified against the trace identities. LAPACK's values-only path
+    can return wrong values (seen for entries near 1e-160); the matrices that
+    fail are solved again through eigh, and only a second failure raises."""
+    values = _lapack(np.linalg.eigvalsh, mats)[:, ::-1].copy()
+    bad1, bad2, _ = _trace_identities(mats, values)
+    redo = bad1 | bad2
+    if redo.any():
+        values[redo] = _lapack(np.linalg.eigh, mats[redo])[0][:, ::-1]
+        _trace_check(mats[redo], values[redo])
+    return values
 
 
 def decompose(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -100,16 +131,13 @@ def decompose(mat) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = _lapack(np.linalg.eigh, mat)
     values = values[::-1].copy()
     vectors = _normalize_signs(vectors[:, ::-1])
-    _trace_check(mat, values)
+    _trace_check(mat[np.newaxis], values[np.newaxis])
     return values, vectors
 
 
 def eigenvalues_only(mat) -> np.ndarray:
     """Eigenvalues sorted descending, without eigenvectors."""
-    mat = _check_square_symmetric(mat)
-    values = _lapack(np.linalg.eigvalsh, mat)[::-1].copy()
-    _trace_check(mat, values)
-    return values
+    return _checked_eigvalsh(_check_square_symmetric(mat)[np.newaxis])[0]
 
 
 def full_spectrum(mat, tol: float = 1e-12) -> Spectrum:
@@ -237,4 +265,4 @@ def eigvalsh_batch(mats) -> np.ndarray:
         raise ParameterError("batch has NaN or infinite entries")
     if not np.array_equal(a, a.transpose(0, 2, 1)):
         raise ParameterError("batch holds a matrix that is not exactly symmetric")
-    return _lapack(np.linalg.eigvalsh, a)[:, ::-1].copy()
+    return _checked_eigvalsh(a)

@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import multipartite_radius
-from .combinatorics import (are_isomorphic, chromatic_number,
-                            clique_edge_masks, complete_multipartite_mask,
-                            set_partitions)
+from .combinatorics import (are_isomorphic, clique_edge_masks,
+                            complete_multipartite_mask, set_partitions)
 from .eigensolver import alpha_sweep, eigvalsh_batch
 from .errors import CapacityError, ParameterError, SolverError
 from .graphs import (Graph, complete_multipartite, components, edge_order,
-                     is_connected, split, turan, turan_part_sizes)
+                     is_connected, pairs_mask, split, turan, turan_part_sizes)
 from .matrices import _blend, check_alpha
 
 ENUMERATIVE_MAX_VERTICES = 7
@@ -57,10 +56,8 @@ class ExtremalResult:
 
 
 def _edge_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = edge_order(n)
-    us = np.array([u for u, _ in pairs], dtype=np.int64)
-    vs = np.array([v for _, v in pairs], dtype=np.int64)
-    return us, vs
+    """Endpoints of every pair, in edge_order(n) bit order."""
+    return np.triu_indices(n, 1)
 
 
 def class_member_masks(n: int, r: int, class_tag: str) -> np.ndarray:
@@ -74,27 +71,39 @@ def class_member_masks(n: int, r: int, class_tag: str) -> np.ndarray:
     """
     if class_tag not in ("clique_free", "r_chromatic"):
         raise ParameterError(f"no mask enumeration for class {class_tag!r}")
-    index = {pair: i for i, pair in enumerate(edge_order(n))}
     members = np.zeros(1, dtype=np.int64)
     for k in range(n):
         subsets = np.arange(1 << k, dtype=np.int64)
         # edges from vertex k to each neighbourhood, in the n-vertex layout
         star = np.zeros(subsets.shape, dtype=np.int64)
         for j in range(k):
-            star |= ((subsets >> j) & 1) << index[(j, k)]
+            star |= ((subsets >> j) & 1) * pairs_mask(n, [(j, k)])
         allowed = np.ones((members.size, subsets.size), dtype=bool)
         for c in itertools.combinations(range(k), r):
-            ec = sum(1 << index[p] for p in itertools.combinations(c, 2))
+            ec = pairs_mask(n, itertools.combinations(c, 2))
             vc = sum(1 << j for j in c)
             allowed &= ~np.outer((members & ec) == ec, (subsets & vc) == vc)
         members = (members[:, np.newaxis] | star)[allowed]
     if class_tag == "r_chromatic":
-        keep = np.zeros(members.shape, dtype=bool)
-        for pm in _multipartite_masks(n, r):
-            keep |= (members & pm) == members
-        members = members[keep]
+        members = members[_in_class(members, n, r, class_tag)]
     members.sort()
     return members
+
+
+def _in_class(masks: np.ndarray, n: int, r: int, class_tag: str) -> np.ndarray:
+    """Which of the int64 masks lie in the enumerative class: clique_free when
+    no (r+1)-clique mask lies inside the mask, r_chromatic when the mask lies
+    under some complete multipartite mask with min(r, n) blocks. One pass over
+    the masks per clique or partition, never a (masks x cliques) array."""
+    if class_tag == "clique_free":
+        inside = np.ones(masks.shape, dtype=bool)
+        for cm in clique_edge_masks(n, r + 1):
+            inside &= (masks & cm) != cm
+        return inside
+    inside = np.zeros(masks.shape, dtype=bool)
+    for pm in _multipartite_masks(n, r):
+        inside |= (masks & pm) == masks
+    return inside
 
 
 def _multipartite_masks(n: int, r: int) -> np.ndarray:
@@ -182,23 +191,18 @@ def _membership_check(masks: list[int], graphs: list[Graph], n: int, r: int,
                       class_tag: str) -> int | None:
     """The mask of the first graph outside the class, or None.
 
-    clique_free checks every mask against every (r+1)-clique at once and
-    reports the least offending mask; the other classes test graph by graph
-    in the order given.
+    The enumerative classes test all masks with _in_class and report the
+    least offending mask; the partition search tests graph by graph in the
+    order given.
     """
-    if class_tag == "clique_free":
+    if class_tag != "complete_multipartite":
         arr = np.array(masks, dtype=np.int64)
-        cliques = np.array(clique_edge_masks(n, r + 1), dtype=np.int64)
-        bad = ((arr[:, np.newaxis] & cliques) == cliques).any(axis=1)
-        return int(arr[bad].min()) if bad.any() else None
+        outside = arr[~_in_class(arr, n, r, class_tag)]
+        return int(outside.min()) if outside.size else None
     for g in graphs:
-        if class_tag == "r_chromatic":
-            inside = chromatic_number(g) <= r
-        else:
-            parts = sorted((len(vs) for _, vs in _cocomponents(g)), reverse=True)
-            inside = (len(parts) <= max(r, 1)
-                      and are_isomorphic(g, complete_multipartite(parts)))
-        if not inside:
+        parts = sorted((len(vs) for _, vs in _cocomponents(g)), reverse=True)
+        if not (len(parts) <= max(r, 1)
+                and are_isomorphic(g, complete_multipartite(parts))):
             return g.edge_mask()
     return None
 

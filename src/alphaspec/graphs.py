@@ -5,6 +5,7 @@ lexicographically, so equal graphs compare equal and iteration order is
 deterministic everywhere downstream.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,11 +112,7 @@ class Graph:
 
     def edge_mask(self) -> int:
         """Pack the edge set into the canonical bitmask (see edge_order)."""
-        index = {pair: i for i, pair in enumerate(edge_order(self.n))}
-        mask = 0
-        for e in self.edges:
-            mask |= 1 << index[e]
-        return mask
+        return pairs_mask(self.n, self.edges)
 
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
@@ -126,9 +123,20 @@ class Graph:
         return cls(n, edges)
 
 
+@functools.cache
 def edge_order(n: int) -> tuple[tuple[int, int], ...]:
     """Canonical bit order for edge masks: (0,1),(0,2),...,(n-2,n-1)."""
     return tuple(itertools.combinations(range(n), 2))
+
+
+def pairs_mask(n: int, pairs) -> int:
+    """Edge bitmask of the normalized pairs (u, v), u < v, in edge_order(n)
+    bit order: the pairs before (u, v) are the u*(2n-u-1)/2 with a smaller
+    first vertex, then the v-u-1 of (u, u+1), ..., (u, v-1)."""
+    mask = 0
+    for u, v in pairs:
+        mask |= 1 << (u * (2 * n - u - 1) // 2 + v - u - 1)
+    return mask
 
 
 def _require(cond: bool, constraint: str):

@@ -128,6 +128,11 @@ def test_diameter_matches_bfs_on_random_graphs(rng):
     assert seen == {True, False}
 
 
+def test_diameter_matches_bfs_on_long_thin_graphs():
+    for g in (path(400), cycle(401), disjoint_union([path(200), cycle(7)])):
+        assert diameter(g) == _bfs_diameter(g), g.n
+
+
 def test_vertex_orbits():
     assert vertex_orbits(cycle(6)) == ((0, 1, 2, 3, 4, 5),)
     assert vertex_orbits(star(4)) == ((0,), (1, 2, 3))

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from alphaspec import (Graph, ParameterError, alpha_matrix, alpha_sweep,
-                       assemble, complete, complete_bipartite, cycle,
-                       decompose, disjoint_union, distinct_count, edgeless,
-                       eigenvalues_only, eigvalsh_batch, extreme_pair,
-                       full_spectrum, path, psd_threshold, star)
+from alphaspec import (Graph, ParameterError, SolverError, alpha_matrix,
+                       alpha_sweep, assemble, complete, complete_bipartite,
+                       cycle, decompose, disjoint_union, distinct_count,
+                       edgeless, eigenvalues_only, eigvalsh_batch,
+                       extreme_pair, full_spectrum, path, psd_threshold, star)
 from alphaspec.eigensolver import AlphaSweep
 from conftest import rand_connected, rand_graph
 
@@ -195,6 +195,28 @@ def test_eigvalsh_batch_rejects_asymmetric():
     stack[2, 0, 3] = 1.0
     with pytest.raises(ParameterError):
         eigvalsh_batch(stack)
+
+
+def test_values_only_solve_falls_back_to_eigh():
+    # LAPACK's values-only path returns wrong eigenvalues for this matrix
+    m = alpha_matrix(Graph.from_edge_mask(8, 1131), 6.692927171766018e-161)
+    want = np.linalg.eigh(m)[0][::-1]
+    assert np.array_equal(eigenvalues_only(m), want)
+    assert np.array_equal(eigvalsh_batch(np.stack([m, m]))[1], want)
+
+
+def test_identity_failure_after_fallback_raises(monkeypatch):
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 1.0)
+    m = alpha_matrix(cycle(5), 0.3)
+    # the fallback repairs what the values-only path got wrong
+    assert np.allclose(eigenvalues_only(m), eigvalsh(m)[::-1], atol=1e-12)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] + 1.0, eigh(a)[1]))
+    with pytest.raises(SolverError, match="^trace identity violated") as info:
+        eigenvalues_only(m)
+    assert set(info.value.diagnostics) == {"trace", "eigensum"}
+    with pytest.raises(SolverError, match="^trace identity violated"):
+        eigvalsh_batch(np.stack([np.eye(5), m]))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -3,17 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import alphaspec.extremal as extremal
 from alphaspec import (CapacityError, Graph, ParameterError, SolverError,
-                       alpha_matrix, complete_multipartite, cycle,
-                       eigenvalues_only, eigvalsh_batch, enumerate_graphs,
-                       is_clique_free, maximize_over_class, monotonicity_check,
-                       multipartite_radius, path, star, turan, verify_turan)
+                       alpha_matrix, chromatic_number, complete_multipartite,
+                       cycle, eigenvalues_only, eigvalsh_batch,
+                       enumerate_graphs, is_clique_free, maximize_over_class,
+                       monotonicity_check, multipartite_radius, path, star,
+                       turan, verify_turan)
 from alphaspec.combinatorics import (clique_edge_masks,
-                                     complete_multipartite_mask,
+                                     complete_multipartite_mask, has_clique,
                                      integer_partitions, set_partitions)
 from alphaspec.graphs import split, turan_part_sizes
 from conftest import rand_connected
@@ -149,6 +150,7 @@ def test_monotonicity_random_corpus(rng):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), mask_seed=st.integers(0, 2 ** 28 - 1),
        ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True))
+@example(n=8, mask_seed=1131, ends=[0.0, 6.692927171766018e-161])
 def test_eigenvalues_monotone_and_lipschitz_in_alpha(n, mask_seed, ends):
     # M(b) - M(a) = (b - a) L with 0 <= L <= n I, so by Weyl every eigenvalue
     # rises by at least 0 and at most (b - a) n
@@ -157,6 +159,21 @@ def test_eigenvalues_monotone_and_lipschitz_in_alpha(n, mask_seed, ends):
     step = eigenvalues_only(alpha_matrix(g, b)) - eigenvalues_only(alpha_matrix(g, a))
     assert np.all(step >= -1e-9), (a, b, step)
     assert np.all(step <= (b - a) * n + 1e-9), (a, b, step)
+
+
+def test_verify_turan_at_tiny_alpha():
+    # LAPACK's values-only solve gets some of these matrices wrong
+    assert verify_turan(7, 2, [6.692927171766018e-161, 1e-160, 1e-158]).ok
+
+
+def test_batch_at_tiny_alpha_matches_adjacency_values(rng):
+    for n in (5, 6):
+        us, vs = extremal._edge_arrays(n)
+        masks = rng.integers(0, 1 << us.size, size=100).astype(np.int64)
+        want = eigvalsh_batch(extremal._batch_alpha_matrices(masks, n, 0.0, us, vs))
+        for a in np.logspace(-165, -140, 100):
+            got = eigvalsh_batch(extremal._batch_alpha_matrices(masks, n, float(a), us, vs))
+            assert np.max(np.abs(got - want)) <= 1e-9, (n, a)
 
 
 def test_monotonicity_grid_validation():
@@ -279,6 +296,17 @@ def test_membership_check_rejects_outside_tie(monkeypatch, class_tag, outside):
     with pytest.raises(SolverError) as info:
         maximize_over_class(5, 2, 0.3, class_tag)
     assert info.value.diagnostics["mask"] == bad
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_in_class_matches_graph_tests(n):
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    graphs = [Graph.from_edge_mask(n, int(m)) for m in masks]
+    chi = np.array([chromatic_number(g) for g in graphs])
+    for r in range(1, n + 2):
+        free = np.array([not has_clique(g, r + 1) for g in graphs])
+        assert np.array_equal(extremal._in_class(masks, n, r, "clique_free"), free), r
+        assert np.array_equal(extremal._in_class(masks, n, r, "r_chromatic"), chi <= r), r
 
 
 # ---------------------------------------------------------------- oracle

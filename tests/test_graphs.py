@@ -7,8 +7,8 @@ from alphaspec import (Graph, GraphFormatError, complete, complete_bipartite,
                        disjoint_union, edgeless, format_edge_list,
                        is_connected, join, parse_edge_list, path, split, star,
                        turan)
-from alphaspec.graphs import (GraphSpec, build, edge_order, turan_part_sizes,
-                              walk2_counts)
+from alphaspec.graphs import (GraphSpec, build, edge_order, pairs_mask,
+                              turan_part_sizes, walk2_counts)
 
 
 def test_graph_normalizes_and_validates():
@@ -119,3 +119,31 @@ def test_parse_errors(text, fragment):
     with pytest.raises(GraphFormatError) as err:
         parse_edge_list(text)
     assert fragment in str(err.value)
+
+
+def _index_dict_mask(n, pairs):
+    """The edge_order(n) bit positions looked up in a {pair: index} dict."""
+    index = {pair: i for i, pair in enumerate(edge_order(n))}
+    mask = 0
+    for pair in pairs:
+        mask |= 1 << index[pair]
+    return mask
+
+
+def test_pairs_mask_matches_index_dict():
+    for n in range(13):
+        order = edge_order(n)
+        for pair in order:
+            assert pairs_mask(n, [pair]) == 1 << order.index(pair), (n, pair)
+        for step in (1, 2, 3, 7):
+            some = order[::step]
+            assert pairs_mask(n, some) == _index_dict_mask(n, some), (n, step)
+    assert pairs_mask(5, []) == 0
+
+
+def test_edge_mask_matches_index_dict_on_random_graphs(rng):
+    for _ in range(100):
+        n = int(rng.integers(0, 13))
+        g = Graph(n, tuple(p for p in edge_order(n) if rng.random() < 0.4))
+        assert g.edge_mask() == _index_dict_mask(n, g.edges)
+        assert Graph.from_edge_mask(n, g.edge_mask()) == g
