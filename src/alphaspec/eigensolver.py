@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .graphs import Graph, components, disjoint_union
+from .graphs import Graph, component_labels
 from .matrices import alpha_matrix, check_alpha
-
-PSD_BISECTION_MAX_ITER = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,36 +175,45 @@ def distinct_count(s: Spectrum, cluster_tol: float = 1e-8) -> int:
 
 
 def psd_threshold(g: Graph, tol: float = 1e-10) -> float:
-    """Smallest alpha at which M(alpha) is positive semidefinite, by bisection.
+    """Smallest alpha at which M(alpha) is positive semidefinite, in closed form.
 
-    The minimum eigenvalue is nondecreasing in alpha; returns an alpha whose
-    minimum eigenvalue is within tol of zero (or 0.0 when already PSD there).
-    Isolated vertices pin it at 0, so they are dropped: on each component with
-    an edge it is concave and reaches the minimum degree at alpha = 1.
+    Write M(alpha) = A + alpha*L. Isolated vertices pin the smallest
+    eigenvalue at 0 for every alpha, so they are dropped (0.0 when no edge is
+    left). On a component with an edge, L has kernel span(1) and 1'A1 = 2m > 0,
+    so M(alpha) is positive semidefinite exactly when S + alpha*L is on the
+    complement of 1, where S = A - d d'/2m is the Schur complement of A on the
+    constant direction (d = A1, the degrees). With L = U diag(lam) U' there,
+    the component's threshold is -lambda_min(W U' S U W), W = diag(lam)^(-1/2):
+    one eigendecomposition and one values-only solve. The graph's threshold is
+    the largest over its components. One more solve of M at the result checks
+    that its smallest eigenvalue, on the non-isolated vertices, is within tol
+    of zero; SolverError (diagnostics threshold, lam_min, tol) if it is not.
     """
     if g.n == 0:
         raise ParameterError("positive semidefinite threshold needs a nonempty graph")
     if g.m == 0:
         return 0.0
-    if g.min_degree() == 0:
-        g = disjoint_union(c for c, _ in components(g) if c.m)
-
-    def lam_min(a: float) -> float:
-        return float(eigenvalues_only(alpha_matrix(g, a))[-1])
-
-    if lam_min(0.0) >= -tol:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(PSD_BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        f = lam_min(mid)
-        if abs(f) <= tol:
-            return mid
-        if f < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    verts = {}
+    for v, c in enumerate(component_labels(g)):
+        verts.setdefault(c, []).append(v)
+    t = 0.0
+    for vs in verts.values():
+        if len(vs) == 1:
+            continue
+        adj = g.adjacency[np.ix_(vs, vs)]
+        deg = adj.sum(axis=1)
+        lam, vecs = decompose(np.diag(deg) - adj)
+        # the last pair is the kernel span(1) of a connected Laplacian
+        whiten = vecs[:, :-1] / np.sqrt(lam[:-1])
+        schur = adj - np.outer(deg, deg) / deg.sum()
+        w = whiten.T @ schur @ whiten
+        t = max(t, -float(eigenvalues_only(0.5 * (w + w.T))[-1]))
+    keep = np.flatnonzero(g.adjacency.any(axis=1))
+    lam_min = float(eigenvalues_only(alpha_matrix(g, t)[np.ix_(keep, keep)])[-1])
+    if abs(lam_min) > tol:
+        raise SolverError("smallest eigenvalue at the threshold is not within tol of zero",
+                          threshold=t, lam_min=lam_min, tol=tol)
+    return t
 
 
 @dataclass(frozen=True)

@@ -272,33 +272,41 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(base.n, base.edges + cross)
 
 
+def component_labels(g: Graph) -> list[int]:
+    """Component index of every vertex, in O(n + m): components are numbered
+    0, 1, ... in the order of their least vertex."""
+    label = [-1] * g.n
+    count = 0
+    for root in range(g.n):
+        if label[root] >= 0:
+            continue
+        label[root] = count
+        stack = [root]
+        while stack:
+            for w in g.neighbors[stack.pop()]:
+                if label[w] < 0:
+                    label[w] = count
+                    stack.append(w)
+        count += 1
+    return label
+
+
 def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     """Connected components as (subgraph, original-vertex labels), in vertex order."""
-    seen = [False] * g.n
-    out = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        stack = [root]
-        seen[root] = True
-        verts = []
-        while stack:
-            u = stack.pop()
-            verts.append(u)
-            for w in g.neighbors[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        verts.sort()
-        relabel = {v: i for i, v in enumerate(verts)}
-        sub_edges = tuple((relabel[u], relabel[v]) for u, v in g.edges
-                          if u in relabel and v in relabel)
-        out.append((Graph(len(verts), sub_edges), tuple(verts)))
-    return out
+    label = component_labels(g)
+    verts = [[] for _ in range(max(label, default=-1) + 1)]
+    index = [0] * g.n
+    for v, c in enumerate(label):
+        index[v] = len(verts[c])
+        verts[c].append(v)
+    sub_edges = [[] for _ in verts]
+    for u, v in g.edges:
+        sub_edges[label[u]].append((index[u], index[v]))
+    return [(Graph(len(vs), tuple(es)), tuple(vs)) for vs, es in zip(verts, sub_edges)]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return max(component_labels(g), default=0) == 0
 
 
 def walk2_counts(g: Graph) -> tuple[int, ...]:

@@ -272,3 +272,18 @@ def test_verify_turan_json_counts_maximal_members(capsys):
     check = json.loads(out)["checks"][0]
     assert check["maximal"] == 162
     assert check["maximal"] <= check["solved"] < check["examined"]
+
+
+def test_psd_threshold_check_failure_exit(capsys, tmp_path, monkeypatch):
+    import alphaspec.eigensolver as eigensolver
+    real = eigensolver.alpha_matrix
+    monkeypatch.setattr(eigensolver, "alpha_matrix",
+                        lambda g, a: real(g, a) + 1e-6 * np.eye(g.n))
+    f = tmp_path / "c5.txt"
+    f.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    rc, out, err = run(capsys, "psd-threshold", str(f))
+    assert rc == cli.EX_SOFTWARE == 70
+    assert out == ""
+    assert err.startswith("error: smallest eigenvalue at the threshold")
+    assert "threshold=0.447213595499" in err and "lam_min=" in err and "tol=1e-10" in err
+    assert "Traceback" not in err and err.count("\n") == 1

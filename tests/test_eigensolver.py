@@ -8,7 +8,9 @@ from alphaspec import (Graph, ParameterError, SolverError, alpha_matrix,
                        cycle, decompose, disjoint_union, distinct_count,
                        edgeless, eigenvalues_only, eigvalsh_batch,
                        extreme_pair, full_spectrum, path, psd_threshold, star)
+import alphaspec.eigensolver as eigensolver
 from alphaspec.eigensolver import AlphaSweep
+from alphaspec.graphs import components
 from conftest import rand_connected, rand_graph
 
 
@@ -143,6 +145,83 @@ def test_psd_threshold_ignores_isolated_vertices():
     assert psd_threshold(paw) == pytest.approx(0.4215351653983817, abs=1e-9)
     c5_2k1 = disjoint_union([edgeless(1), cycle(5), edgeless(1)])
     assert psd_threshold(c5_2k1) == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-9)
+
+
+def _bisection_psd_threshold(g, tol=1e-10):
+    """The earlier bisection on the smallest eigenvalue, kept as the oracle:
+    isolated vertices dropped, then lambda_min(M(alpha)), nondecreasing in
+    alpha, is bisected on [0, 1] until it is within tol of zero."""
+    if g.m == 0:
+        return 0.0
+    g = disjoint_union(c for c, _ in components(g) if c.m)
+
+    def lam_min(a):
+        return float(np.linalg.eigvalsh(alpha_matrix(g, a))[0])
+
+    if lam_min(0.0) >= -tol:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f = lam_min(mid)
+        if abs(f) <= tol:
+            return mid
+        if f < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _lam_min_without_isolated(g, a):
+    keep = [v for v in range(g.n) if g.degrees[v]]
+    return float(np.linalg.eigvalsh(alpha_matrix(g, a)[np.ix_(keep, keep)])[0])
+
+
+def _psd_corpus():
+    for n in range(2, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = Graph.from_edge_mask(n, mask)
+            if g.min_degree() > 0:
+                yield g
+    rng = np.random.default_rng(20240512)
+    for _ in range(200):
+        yield rand_graph(rng, int(rng.integers(6, 41)), float(rng.uniform(0.05, 0.95)))
+    yield path(400)
+    yield cycle(401)
+
+
+def test_psd_threshold_matches_bisection_oracle():
+    # every labeled graph on 2..5 vertices without an isolated vertex (814),
+    # 200 seeded G(n, p) with n in [6, 40], a long path and a long odd cycle
+    for g in _psd_corpus():
+        t = psd_threshold(g)
+        assert abs(t - _bisection_psd_threshold(g)) <= 1e-8, g
+        if g.m:
+            assert abs(_lam_min_without_isolated(g, t)) <= 1e-10, g
+
+
+def test_psd_threshold_max_over_components():
+    # the bipartite component wins: K4 alone gives 1/4
+    assert psd_threshold(disjoint_union([complete(4), path(3)])) == pytest.approx(0.5, abs=1e-10)
+    # K3 alone gives 1/3, C5 alone 1/sqrt(5)
+    assert psd_threshold(disjoint_union([complete(3), cycle(5)])) == pytest.approx(
+        1.0 / math.sqrt(5.0), abs=1e-10)
+    assert psd_threshold(disjoint_union([complete(2), edgeless(3)])) == pytest.approx(
+        0.5, abs=1e-12)
+
+
+def test_psd_threshold_raises_when_check_misses_tol(monkeypatch):
+    real = eigensolver.alpha_matrix
+    monkeypatch.setattr(eigensolver, "alpha_matrix",
+                        lambda g, a: real(g, a) + 1e-6 * np.eye(g.n))
+    with pytest.raises(SolverError) as info:
+        psd_threshold(cycle(5))
+    diag = info.value.diagnostics
+    assert set(diag) == {"threshold", "lam_min", "tol"}
+    assert diag["threshold"] == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-12)
+    assert diag["lam_min"] == pytest.approx(1e-6, abs=1e-12)
+    assert diag["tol"] == 1e-10
 
 
 def test_alpha_sweep_csv_and_quotients():

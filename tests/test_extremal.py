@@ -282,15 +282,20 @@ def test_maximal_members_counted(n, r, class_tag, maximal):
     assert maximize_over_class(n, r, 0.3, "complete_multipartite").maximal_members == 0
 
 
-@pytest.mark.parametrize("class_tag,outside", [
-    ("clique_free", Graph(5, ((0, 1), (0, 2), (1, 2)))),  # a triangle
-    ("r_chromatic", cycle(5)),  # an odd cycle
+@pytest.mark.parametrize("class_tag,outside,below", [
+    pytest.param("clique_free", Graph(5, ((0, 1), (0, 2), (1, 2))), (),
+                 id="clique_free-outside0"),  # a triangle
+    pytest.param("r_chromatic", cycle(5), (), id="r_chromatic-outside1"),  # an odd cycle
+    # the single edge (0, 1), mask 1, lies in the class below the triangle's
+    # mask 19, so a test that calls every mask outside reports 1, not 19
+    pytest.param("clique_free", Graph(5, ((0, 1), (0, 2), (1, 2))), (1,),
+                 id="clique_free-inside-below"),
 ])
-def test_membership_check_rejects_outside_tie(monkeypatch, class_tag, outside):
+def test_membership_check_rejects_outside_tie(monkeypatch, class_tag, outside, below):
     inside = Graph(5, ((0, 2), (3, 4))).edge_mask()
     bad = outside.edge_mask()
     bigger = bad | inside  # also outside the class, but a larger mask
-    masks = sorted({inside, bad, bigger})
+    masks = sorted({inside, bad, bigger, *below})
     monkeypatch.setattr(extremal, "_descend_to_ties",
                         lambda *args: (1.0, masks, len(masks), 1))
     with pytest.raises(SolverError) as info:

@@ -7,8 +7,8 @@ from alphaspec import (Graph, GraphFormatError, complete, complete_bipartite,
                        disjoint_union, edgeless, format_edge_list,
                        is_connected, join, parse_edge_list, path, split, star,
                        turan)
-from alphaspec.graphs import (GraphSpec, build, edge_order, pairs_mask,
-                              turan_part_sizes, walk2_counts)
+from alphaspec.graphs import (GraphSpec, build, component_labels, edge_order,
+                              pairs_mask, turan_part_sizes, walk2_counts)
 
 
 def test_graph_normalizes_and_validates():
@@ -75,6 +75,44 @@ def test_union_join_components():
     assert not is_connected(g)
     j = join(edgeless(2), edgeless(3))
     assert j == complete_bipartite(2, 3)
+
+
+def _components_by_search(g):
+    """The earlier components: one search per root, then each component's
+    edges picked out of the whole edge list and relabeled."""
+    seen = [False] * g.n
+    out = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        stack = [root]
+        seen[root] = True
+        verts = []
+        while stack:
+            u = stack.pop()
+            verts.append(u)
+            for w in g.neighbors[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        verts.sort()
+        relabel = {v: i for i, v in enumerate(verts)}
+        sub_edges = tuple((relabel[u], relabel[v]) for u, v in g.edges
+                          if u in relabel and v in relabel)
+        out.append((Graph(len(verts), sub_edges), tuple(verts)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_components_match_search_oracle(n):
+    for mask in range(1 << (n * (n - 1) // 2)):
+        g = Graph.from_edge_mask(n, mask)
+        want = _components_by_search(g)
+        assert components(g) == want
+        assert is_connected(g) == (len(want) <= 1)
+        label = component_labels(g)
+        assert [tuple(v for v in range(n) if label[v] == c)
+                for c in range(len(want))] == [vs for _, vs in want]
 
 
 def test_walk2_counts():
