@@ -5,10 +5,20 @@ slack >= 0 means the inequality is satisfied with margin, and holds applies a
 1e-9 relative tolerance. Records whose preconditions fail are emitted as
 skipped markers rather than dropped silently; informational records are
 reported but never counted as violations.
+
+What the records use of a graph but not of alpha (degrees, 2-walks, per-edge
+degrees, diameter, and the adjacency spectrum, maxcut and chromatic number
+when they are not passed in) is computed once per Graph instance and kept on
+it, so a sweep over alpha pays for it once. The per-k families
+(degree_majorization_k*, weyl_mix_*_k*) are evaluated as float64 arrays with
+the same elementwise arithmetic as the scalar records, so every value is the
+one a record-by-record evaluation gives.
 """
 
+import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -23,7 +33,7 @@ from .matrices import alpha_matrix, assemble, check_alpha, quadratic_form
 HOLDS_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundRecord:
     """One evaluated inequality or identity against the computed spectrum."""
 
@@ -39,31 +49,52 @@ class BoundRecord:
     skipped: bool = False
     note: str = ""
 
+    def __init__(self, name, side, target, bound_value, spectral_value, slack, holds,
+                 strict=False, informational=False, skipped=False, note=""):
+        # one dict update in place of the generated frozen __init__'s
+        # object.__setattr__ per field: a report builds dozens of records
+        self.__dict__.update(
+            name=name, side=side, target=target, bound_value=bound_value,
+            spectral_value=spectral_value, slack=slack, holds=holds, strict=strict,
+            informational=informational, skipped=skipped, note=note)
+
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        # asdict's result, without its per-field deepcopy: every field is a
+        # str, float, bool or None
+        return {name: getattr(self, name) for name in _RECORD_FIELDS}
 
 
-def _tol(bound: float) -> float:
-    return HOLDS_REL_TOL * max(1.0, abs(bound))
+_RECORD_FIELDS = tuple(f.name for f in fields(BoundRecord))
 
 
 def _record(name: str, side: str, target: str, bound: float, spectral: float,
             strict: bool = False, informational: bool = False, note: str = "") -> BoundRecord:
     bound = float(bound)
     spectral = float(spectral)
+    tol = HOLDS_REL_TOL * max(1.0, abs(bound))
     if side == "upper_on":
         slack = bound - spectral
-        holds = slack >= -_tol(bound)
+        holds = slack >= -tol
     elif side == "lower_on":
         slack = spectral - bound
-        holds = slack >= -_tol(bound)
+        holds = slack >= -tol
     elif side == "identity":
         slack = bound - spectral
-        holds = abs(slack) <= _tol(bound)
+        holds = abs(slack) <= tol
     else:
         raise ParameterError(f"unknown side {side!r}")
     return BoundRecord(name, side, target, bound, spectral, slack, holds,
-                       strict=strict, informational=informational, note=note)
+                       strict, informational, False, note)
+
+
+def _family(names: tuple, side: str, targets: tuple, bound: np.ndarray,
+            spectral: np.ndarray) -> list[BoundRecord]:
+    """_record over arrays of bounds and spectral values ("upper_on" or
+    "lower_on"): the same float64 operations, elementwise."""
+    slack = bound - spectral if side == "upper_on" else spectral - bound
+    holds = slack >= -(HOLDS_REL_TOL * np.maximum(1.0, np.abs(bound)))
+    return list(map(BoundRecord, names, repeat(side), targets, bound.tolist(),
+                    spectral.tolist(), slack.tolist(), holds.tolist()))
 
 
 def _skipped(name: str, side: str, target: str, note: str) -> BoundRecord:
@@ -71,32 +102,91 @@ def _skipped(name: str, side: str, target: str, note: str) -> BoundRecord:
                        skipped=True, note=note)
 
 
+def _cached(g: Graph, key: str, compute):
+    """compute(g), evaluated once per Graph instance and kept on it: an equal
+    graph built separately computes its own."""
+    memo = g._memo
+    if key not in memo:
+        memo[key] = compute(g)
+    return memo[key]
+
+
+class _GraphFacts:
+    """The numbers the records use of a graph with n >= 1 that do not depend
+    on alpha. Integer sums stay Python ints, so every bound is computed from
+    the same values, in the same order, as from g.degrees directly."""
+
+    def __init__(self, g: Graph):
+        deg = g.degrees
+        self.small, self.big = g.min_degree(), g.max_degree()
+        self.regular = g.is_regular()
+        self.deg2 = sum(d * d for d in deg)
+        self.rms_degree = math.sqrt(self.deg2 / g.n)
+        self.deg = np.array(deg, dtype=np.float64)
+        self.deg_sorted = np.sort(self.deg)[::-1]
+        self.walks = np.array(walk2_counts(g), dtype=np.float64)
+        ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+        self.edge_deg_u, self.edge_deg_v = self.deg[ends[:, 0]], self.deg[ends[:, 1]]
+
+
+def _facts(g: Graph) -> _GraphFacts:
+    return _cached(g, "bounds", _GraphFacts)
+
+
+@functools.lru_cache(maxsize=64)
+def _k_labels(n: int) -> tuple[tuple[str, ...], ...]:
+    """Targets and names of the per-k families for order n. They depend on n
+    alone, so graphs of one order share them instead of holding n strings each."""
+    ks = range(1, n + 1)
+    return (tuple(f"lambda_{k}" for k in ks),
+            tuple(f"degree_majorization_k{k}" for k in ks),
+            tuple(f"weyl_mix_lower_k{k}" for k in ks),
+            tuple(f"weyl_mix_upper_k{k}" for k in ks))
+
+
+def _adjacency_values(g: Graph) -> np.ndarray:
+    mu = eigenvalues_only(assemble(g, "adjacency"))
+    mu.setflags(write=False)
+    return mu
+
+
+def _check_adjacency_spectrum(g: Graph, adjacency_spectrum) -> np.ndarray:
+    try:
+        mu = np.asarray(adjacency_spectrum, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"adjacency spectrum is not numeric: {exc}") from exc
+    if mu.shape != (g.n,):
+        raise ParameterError(f"adjacency spectrum must hold {g.n} values, "
+                             f"got an array of shape {mu.shape}")
+    if not np.isfinite(mu).all():
+        raise ParameterError("adjacency spectrum has a non-finite value")
+    return mu
+
+
 def radius_bounds(g: Graph, alpha: float, s: Spectrum,
                   adjacency_spectrum=None) -> list[BoundRecord]:
     """Bounds on the ordered eigenvalues, chiefly the spectral radius."""
     a = check_alpha(alpha)
+    if adjacency_spectrum is not None:
+        mu = _check_adjacency_spectrum(g, adjacency_spectrum)
     if g.n == 0:
         return []
     if s.n != g.n:
         raise ParameterError("spectrum size does not match graph order")
+    if adjacency_spectrum is None:
+        mu = _cached(g, "adjacency_spectrum", _adjacency_values)
+    f = _facts(g)
+    targets, majorization, lower_names, upper_names = _k_labels(g.n)
     lam = s.values
     lam1 = float(lam[0])
-    deg = g.degrees
-    big = g.max_degree()
-    small = g.min_degree()
-    deg_sorted = sorted(deg, reverse=True)
-    if adjacency_spectrum is None:
-        adjacency_spectrum = eigenvalues_only(assemble(g, "adjacency"))
-    mu = np.asarray(adjacency_spectrum, dtype=np.float64)
-    out = []
-    for k in range(1, g.n + 1):
-        out.append(_record(f"degree_majorization_k{k}", "upper_on", f"lambda_{k}",
-                           deg_sorted[k - 1], lam[k - 1]))
-    for k in range(1, g.n + 1):
-        out.append(_record(f"weyl_mix_lower_k{k}", "lower_on", f"lambda_{k}",
-                           a * small + (1.0 - a) * mu[k - 1], lam[k - 1]))
-        out.append(_record(f"weyl_mix_upper_k{k}", "upper_on", f"lambda_{k}",
-                           a * big + (1.0 - a) * mu[k - 1], lam[k - 1]))
+    big, small = f.big, f.small
+    out = _family(majorization, "upper_on", targets, f.deg_sorted, lam)
+    mixed_mu = (1.0 - a) * mu
+    weyl_upper = a * big + mixed_mu
+    # interleaved: weyl_mix_lower_k1, weyl_mix_upper_k1, weyl_mix_lower_k2, ...
+    out.extend(chain.from_iterable(zip(
+        _family(lower_names, "lower_on", targets, a * small + mixed_mu, lam),
+        _family(upper_names, "upper_on", targets, weyl_upper, lam))))
     if g.m >= 1:
         disc = a * a * (big + 1.0) ** 2 + 4.0 * big * (1.0 - 2.0 * a)
         star_bound = 0.5 * (a * (big + 1.0) + math.sqrt(disc))
@@ -123,41 +213,41 @@ def radius_bounds(g: Graph, alpha: float, s: Spectrum,
         out.append(_skipped("lovasz_star_lower", "lower_on", "lambda_1", "no edges"))
     out.append(_record("adjacency_lower", "lower_on", "lambda_1", mu[0], lam1))
     out.append(_record("adjacency_mix_upper", "upper_on", "lambda_1",
-                       a * big + (1.0 - a) * mu[0], lam1,
+                       weyl_upper[0], lam1,
                        note="equality iff some component is max_degree-regular"))
     out.append(_record("mean_degree_lower", "lower_on", "lambda_1",
                        2.0 * g.m / g.n, lam1))
-    out.append(_record("rms_degree_lower", "lower_on", "lambda_1",
-                       math.sqrt(sum(d * d for d in deg) / g.n), lam1))
-    walks = walk2_counts(g)
+    out.append(_record("rms_degree_lower", "lower_on", "lambda_1", f.rms_degree, lam1))
     if small >= 1:
-        rowsums = [a * deg[u] + (1.0 - a) * walks[u] / deg[u] for u in range(g.n)]
+        rowsums = a * f.deg + (1.0 - a) * f.walks / f.deg
         out.append(_record("rowsum_similarity_upper", "upper_on", "lambda_1",
-                           max(rowsums), lam1,
+                           rowsums.max(), lam1,
                            note="equality for regular graphs at every alpha"))
         out.append(_record("rowsum_similarity_lower", "lower_on", "lambda_1",
-                           min(rowsums), lam1))
+                           rowsums.min(), lam1))
     else:
         why = "isolated vertex present" if g.m else "no edges"
         out.append(_skipped("rowsum_similarity_upper", "upper_on", "lambda_1", why))
         out.append(_skipped("rowsum_similarity_lower", "lower_on", "lambda_1", why))
     if g.m >= 1:
-        per_edge = [(a * deg[u] + (1.0 - a) * deg[v],
-                     a * deg[v] + (1.0 - a) * deg[u]) for u, v in g.edges]
+        # each edge in both orientations: a*deg(u) + (1-a)*deg(v) and the reverse
+        du, dv = f.edge_deg_u, f.edge_deg_v
+        forward = a * du + (1.0 - a) * dv
+        backward = a * dv + (1.0 - a) * du
         out.append(_record("edge_degree_upper", "upper_on", "lambda_1",
-                           max(max(p) for p in per_edge), lam1,
+                           max(forward.max(), backward.max()), lam1,
                            note="orientation maximum taken on each edge"))
         out.append(_record("edge_degree_lower", "lower_on", "lambda_1",
-                           min(min(p) for p in per_edge), lam1,
+                           min(forward.min(), backward.min()), lam1,
                            note="orientation minimum taken on each edge"))
     else:
         out.append(_skipped("edge_degree_upper", "upper_on", "lambda_1", "no edges"))
         out.append(_skipped("edge_degree_lower", "lower_on", "lambda_1", "no edges"))
-    squares = [a * deg[u] * deg[u] + (1.0 - a) * walks[u] for u in range(g.n)]
+    squares = a * f.deg * f.deg + (1.0 - a) * f.walks
     out.append(_record("walk_square_upper", "upper_on", "lambda_1_squared",
-                       max(squares), lam1 * lam1))
+                       squares.max(), lam1 * lam1))
     out.append(_record("walk_square_lower", "lower_on", "lambda_1_squared",
-                       min(squares), lam1 * lam1))
+                       squares.min(), lam1 * lam1))
     return out
 
 
@@ -170,14 +260,15 @@ def lambda_min_bounds(g: Graph, alpha: float, s: Spectrum,
         return []
     if s.n != g.n:
         raise ParameterError("spectrum size does not match graph order")
+    f = _facts(g)
     lam_min = float(s.values[-1])
-    small = g.min_degree()
+    small = f.small
     out = [_record("min_degree_upper", "upper_on", "lambda_min",
                    a * small, lam_min,
                    strict=(a < 1.0 and small >= 1),
                    note="strict whenever alpha < 1 and there is no isolated vertex")]
     if g.n <= MAXCUT_MAX_VERTICES:
-        cut = maxcut(g) if maxcut_value is None else int(maxcut_value)
+        cut = _cached(g, "maxcut", maxcut) if maxcut_value is None else int(maxcut_value)
         out.append(_record("maxcut_mix_upper", "upper_on", "lambda_min",
                            2.0 * g.m / g.n - 4.0 * (1.0 - a) * cut / g.n, lam_min))
         out.append(_record("maxcut_mix_upper_literal", "upper_on", "lambda_min",
@@ -187,14 +278,14 @@ def lambda_min_bounds(g: Graph, alpha: float, s: Spectrum,
     else:
         out.append(_skipped("maxcut_mix_upper", "upper_on", "lambda_min",
                             f"maxcut limited to n <= {MAXCUT_MAX_VERTICES}"))
-    if g.is_regular() and g.m >= 1:
+    if f.regular and g.m >= 1:
         if chromatic is None and g.n <= CHROMATIC_DEFAULT_LIMIT:
-            chromatic = chromatic_number(g)
+            chromatic = _cached(g, "chromatic", chromatic_number)
         if chromatic is None:
             out.append(_skipped("hoffman_regular_upper", "upper_on", "lambda_min",
                                 f"chromatic number limited to n <= {CHROMATIC_DEFAULT_LIMIT}"))
         elif a < 1.0 / chromatic:
-            d = g.max_degree()
+            d = f.big
             bound = (a - 1.0 / chromatic) * chromatic * d / (chromatic - 1.0)
             out.append(_record("hoffman_regular_upper", "upper_on", "lambda_min",
                                bound, lam_min, strict=False,
@@ -213,12 +304,11 @@ def global_identities(g: Graph, alpha: float, s: Spectrum) -> list[BoundRecord]:
     if s.n != g.n:
         raise ParameterError("spectrum size does not match graph order")
     lam = s.values
-    deg2 = sum(d * d for d in g.degrees)
     out = [
         _record("trace_linear", "identity", "sum_lambda",
                 2.0 * a * g.m, float(lam.sum())),
         _record("trace_square", "identity", "sum_lambda_squared",
-                2.0 * (1.0 - a) ** 2 * g.m + a * a * deg2,
+                2.0 * (1.0 - a) ** 2 * g.m + a * a * _facts(g).deg2,
                 float((lam * lam).sum())),
     ]
     if g.n >= 2:
@@ -229,7 +319,7 @@ def global_identities(g: Graph, alpha: float, s: Spectrum) -> list[BoundRecord]:
             out.append(_record("second_eigenvalue_upper", "upper_on", "lambda_2",
                                g.n / 2.0 - 1.0, float(lam[1]),
                                note="equality for two disjoint cliques on n/2 vertices"))
-    diam = diameter(g)
+    diam = _cached(g, "diameter", diameter)
     if diam is None:
         out.append(_skipped("distinct_diameter_lower", "lower_on", "distinct_count",
                             "graph is disconnected"))
@@ -275,8 +365,6 @@ def bound_report(g: Graph, alpha: float, s: Spectrum | None = None,
         s = full_spectrum(alpha_matrix(g, a))
     if graph_id is None:
         graph_id = f"graph-n{g.n}-m{g.m}"
-    if adjacency_spectrum is None and g.n:
-        adjacency_spectrum = eigenvalues_only(assemble(g, "adjacency"))
     records = []
     records.extend(radius_bounds(g, a, s, adjacency_spectrum=adjacency_spectrum))
     records.extend(lambda_min_bounds(g, a, s, maxcut_value=maxcut_value,

@@ -96,6 +96,12 @@ class Graph:
         adj.setflags(write=False)
         return adj
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Values other modules derive from this graph once (see bounds). They
+        belong to this instance: an equal graph built separately starts empty."""
+        return {}
+
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
