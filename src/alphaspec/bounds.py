@@ -260,6 +260,12 @@ def lambda_min_bounds(g: Graph, alpha: float, s: Spectrum,
         return []
     if s.n != g.n:
         raise ParameterError("spectrum size does not match graph order")
+    least = 2 if g.m else 1
+    if chromatic is not None and not least <= chromatic <= g.n:
+        raise ParameterError(
+            f"chromatic number must lie in [{least}, {g.n}], got {chromatic}")
+    if maxcut_value is not None and not 0 <= maxcut_value <= g.m:
+        raise ParameterError(f"maxcut value must lie in [0, {g.m}], got {maxcut_value}")
     f = _facts(g)
     lam_min = float(s.values[-1])
     small = f.small

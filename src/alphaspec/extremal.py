@@ -2,32 +2,30 @@
 spectral-radius maximizers of M(alpha), and compare against the predicted
 extremal families.
 
-Enumerative classes list every labeled member by edge bitmask, grown one
-vertex at a time so that no K_{r+1} ever forms, but solve only the
-edge-maximal members and then walk down from the tied ones one deleted edge
-at a time: for alpha in [0, 1] the radius of M(alpha) never falls when an
-edge is added, so no other member can tie. The edge-maximal K_{r+1}-free
-members are found by looking up each member's one-edge supersets in a bool
-table over all 2^C(n,2) masks (2 MiB at n=7). Each descent step is one
-stacked LAPACK eigenvalue call. Ties are grouped into isomorphism classes
+Each enumerative class is a packed bitset over all 2^C(n,2) edge masks, closed
+from a few seed masks over the subset lattice of the edge bits. Only its
+edge-maximal members are solved; the scan then walks down from the tied ones
+one deleted edge at a time: for alpha in [0, 1] the radius of M(alpha) never
+falls when an edge is added, so no other member can tie. Each descent step is
+one stacked LAPACK eigenvalue call. Ties are grouped into isomorphism classes
 exactly: by sorted degrees, then by a backtracking isomorphism test within
 each group. The complete-multipartite class searches integer partitions with
 the closed-form radius instead; distinct partitions are never isomorphic.
 """
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .closed_forms import multipartite_radius
-from .combinatorics import (are_isomorphic, clique_edge_masks,
-                            complete_multipartite_mask, set_partitions)
+from .combinatorics import (ENUMERATION_MAX_VERTICES, are_isomorphic,
+                            clique_edge_masks, complete_multipartite_mask,
+                            set_partitions)
 from .eigensolver import alpha_sweep, eigvalsh_batch
 from .errors import CapacityError, ParameterError, SolverError
 from .graphs import (Graph, complete_multipartite, components, edge_order,
-                     is_connected, pairs_mask, split, turan, turan_part_sizes)
+                     is_connected, split, turan, turan_part_sizes)
 from .matrices import _blend, check_alpha
 
 ENUMERATIVE_MAX_VERTICES = 7
@@ -61,33 +59,56 @@ def _edge_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def class_member_masks(n: int, r: int, class_tag: str) -> np.ndarray:
-    """Edge bitmasks of every labeled class member on n vertices, ascending.
+    """Edge bitmasks of every labeled class member on n vertices, ascending."""
+    return _table_masks(_class_table(n, r, class_tag))
 
-    The members are grown, not filtered: vertex k joins each graph on
-    0..k-1 through every neighbourhood that holds no r-clique of it, so no
-    K_{r+1} ever forms. r-colorable graphs are K_{r+1}-free, so the
-    r_chromatic members are the clique_free members that lie under a
-    complete multipartite mask with min(r, n) blocks.
-    """
+
+def _class_table(n: int, r: int, class_tag: str) -> np.ndarray:
+    """The class as a packed bitset: bit m & 63 of uint64 word m >> 6 is set
+    when edge mask m is a member. clique_free is the complement of the
+    up-closure of the (r+1)-clique masks, r_chromatic the down-closure of the
+    complete multipartite masks with min(r, n) blocks."""
     if class_tag not in ("clique_free", "r_chromatic"):
         raise ParameterError(f"no mask enumeration for class {class_tag!r}")
-    members = np.zeros(1, dtype=np.int64)
-    for k in range(n):
-        subsets = np.arange(1 << k, dtype=np.int64)
-        # edges from vertex k to each neighbourhood, in the n-vertex layout
-        star = np.zeros(subsets.shape, dtype=np.int64)
-        for j in range(k):
-            star |= ((subsets >> j) & 1) * pairs_mask(n, [(j, k)])
-        allowed = np.ones((members.size, subsets.size), dtype=bool)
-        for c in itertools.combinations(range(k), r):
-            ec = pairs_mask(n, itertools.combinations(c, 2))
-            vc = sum(1 << j for j in c)
-            allowed &= ~np.outer((members & ec) == ec, (subsets & vc) == vc)
-        members = (members[:, np.newaxis] | star)[allowed]
-    if class_tag == "r_chromatic":
-        members = members[_in_class(members, n, r, class_tag)]
-    members.sort()
-    return members
+    if r < 1:
+        raise ParameterError("class parameter r must be >= 1")
+    if n < 0:
+        raise ParameterError("class enumeration needs n >= 0")
+    if n > ENUMERATION_MAX_VERTICES:
+        raise CapacityError(
+            f"class tables limited to n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
+    n_edges = n * (n - 1) // 2
+    up = class_tag == "clique_free"
+    seeds = np.array(clique_edge_masks(n, r + 1) if up else _multipartite_masks(n, r),
+                     dtype=np.int64)
+    words = np.zeros(max(1, (1 << n_edges) >> 6), dtype=np.uint64)
+    np.bitwise_or.at(words, seeds >> 6, np.uint64(1) << (seeds & 63).astype(np.uint64))
+    _lattice_or(words, words, n_edges, up)
+    if up:
+        np.invert(words, out=words)
+        words &= np.uint64((1 << min(64, 1 << n_edges)) - 1)  # no masks past 2^C(n,2)
+    return words
+
+
+def _lattice_or(src: np.ndarray, dst: np.ndarray, n_edges: int, up: bool) -> None:
+    """For each edge bit b, one whole-table pass that ORs into dst the bit in
+    src of each mask's b-subset (up) or b-superset (down). With src is dst
+    this is the up- or down-closure."""
+    for b in range(n_edges):
+        if b < 6:
+            # low marks the positions j in a word with bit b of j clear: 0x5555...
+            s = 1 << b
+            low, shift = np.uint64(((1 << 64) - 1) // ((1 << s) + 1)), np.uint64(s)
+            dst |= ((src & low) << shift) if up else ((src >> shift) & low)
+        else:
+            src2, dst2 = (a.reshape(-1, 2, 1 << (b - 6)) for a in (src, dst))
+            dst2[:, int(up)] |= src2[:, int(not up)]
+
+
+def _table_masks(words: np.ndarray) -> np.ndarray:
+    """The masks set in a packed table, ascending int64."""
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    return np.flatnonzero(bits.view(bool)).astype(np.int64, copy=False)
 
 
 def _in_class(masks: np.ndarray, n: int, r: int, class_tag: str) -> np.ndarray:
@@ -126,33 +147,19 @@ def _batch_alpha_matrices(masks: np.ndarray, n: int, alpha: float,
     return _blend(adj, alpha, 1.0 - alpha)
 
 
-def _maximal_member_masks(n: int, r: int, class_tag: str,
-                          members: np.ndarray) -> np.ndarray:
-    """The class members to which no edge can be added without leaving the class.
-
-    r_chromatic lists them directly. For clique_free, whose members are closed
-    under edge deletion, a member is edge-maximal exactly when none of its
-    one-edge supersets is a member: one gather per edge bit in a bool table
-    over all 2^C(n,2) masks (2 MiB at n=7). Members found non-maximal drop out
-    of the later passes, so the result keeps the ascending order of members.
-    """
-    if class_tag == "r_chromatic":
-        return _multipartite_masks(n, r)
-    n_edges = n * (n - 1) // 2
-    inclass = np.zeros(1 << n_edges, dtype=bool)
-    inclass[members] = True
-    for b in range(n_edges):
-        up = members | (np.int64(1) << b)
-        members = members[(up == members) | ~inclass[up]]
-    return members
+def _maximal_member_masks(table: np.ndarray, n: int) -> np.ndarray:
+    """The edge-maximal members of a class table closed under edge deletion,
+    ascending: the members none of whose one-edge supersets is a member."""
+    blocked = np.zeros_like(table)
+    _lattice_or(table, blocked, n * (n - 1) // 2, up=False)
+    return _table_masks(table & ~blocked)
 
 
-def _descend_to_ties(members: np.ndarray, n: int, r: int, alpha: float,
-                     class_tag: str, tie_tol: float
+def _descend_to_ties(table: np.ndarray, n: int, alpha: float, tie_tol: float
                      ) -> tuple[float, list[int], int, int]:
-    """Maximum radius over the members, the ascending masks within tie_tol of
-    it, the number of matrices solved to find them and the number of
-    edge-maximal members among them.
+    """Maximum radius over the members of a class table, the ascending masks
+    within tie_tol of it, the number of matrices solved to find them and the
+    number of edge-maximal members among them.
 
     Adding an edge raises M(alpha) entrywise, so the radius never falls along
     a chain of edge additions, and both enumerative classes are closed under
@@ -162,9 +169,8 @@ def _descend_to_ties(members: np.ndarray, n: int, r: int, alpha: float,
     """
     us, vs = _edge_arrays(n)
     bit = np.int64(1) << np.arange(us.size, dtype=np.int64)
-    level = _maximal_member_masks(n, r, class_tag, members)
+    level = _maximal_member_masks(table, n)
     maximal = int(level.size)
-    # allocated only now, so that it never coexists with the maximality table
     seen = np.zeros(1 << us.size, dtype=bool)
     found_masks, found_tops = [], []
     best = -np.inf
@@ -271,10 +277,9 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
         if n > ENUMERATIVE_MAX_VERTICES:
             raise CapacityError(
                 f"enumerative scan limited to n <= {ENUMERATIVE_MAX_VERTICES}, got n={n}")
-        members = class_member_masks(n, r, class_tag)
-        examined = int(members.size)
-        best, masks, solved, maximal = _descend_to_ties(
-            members, n, r, a, class_tag, tie_tol)
+        table = _class_table(n, r, class_tag)
+        examined = int(np.count_nonzero(np.unpackbits(table.view(np.uint8))))
+        best, masks, solved, maximal = _descend_to_ties(table, n, a, tie_tol)
         graphs = [Graph.from_edge_mask(n, m) for m in masks]
         reps = _dedupe_isomorphic(graphs)
     outside = _membership_check(masks, graphs, n, r, class_tag)

@@ -101,6 +101,25 @@ def test_hoffman_tight_on_complete_graph():
     assert by_name(rep, "hoffman_regular_upper").skipped
 
 
+@pytest.mark.parametrize("g,kw", [
+    (complete(3), {"chromatic": 0}),  # outside [1, n]; used to divide by zero
+    (complete(3), {"chromatic": 1}),  # an edge needs 2 colors; used to divide by zero
+    (complete(3), {"chromatic": 4}),  # more colors than vertices
+    (edgeless(3), {"chromatic": 0}),
+    (complete(3), {"maxcut_value": 10 ** 6}),  # above m; used to report false violations
+    (complete(3), {"maxcut_value": -1}),
+])
+def test_rejects_impossible_chromatic_and_maxcut(g, kw):
+    with pytest.raises(ParameterError):
+        bound_report(g, 0.3, **kw)
+
+
+def test_accepts_extreme_possible_chromatic_and_maxcut():
+    assert bound_report(edgeless(3), 0.3, chromatic=1, maxcut_value=0).violations == ()
+    rep = bound_report(complete(3), 0.3, chromatic=3, maxcut_value=2)
+    assert rep.to_json_obj() == bound_report(complete(3), 0.3).to_json_obj()
+
+
 def test_min_degree_upper_strictness_flag():
     rec = by_name(bound_report(cycle(5), 0.3), "min_degree_upper")
     assert rec.strict

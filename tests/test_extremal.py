@@ -198,7 +198,8 @@ def test_descent_solves_fewer_matrices_than_members():
 # ---------------------------------------------------------------- members
 # The class by filtering every edge mask on n vertices: each (r+1)-clique
 # rules masks out, each partition into at most r blocks rules masks in.
-# class_member_masks grows the members instead and must list the same array.
+# class_member_masks closes a few seed masks over the subset lattice instead
+# and must list the same array.
 
 def _filtered_members(n, r, class_tag):
     masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
@@ -244,14 +245,43 @@ def test_class_members_match_filter(n, class_tag):
 
 @pytest.mark.parametrize("r,class_tag", [(1, "clique_free"), (2, "clique_free"),
                                          (3, "clique_free"), (1, "r_chromatic"),
-                                         (2, "r_chromatic")])
+                                         (2, "r_chromatic"), (3, "r_chromatic")])
 def test_class_members_match_filter_n7(r, class_tag):
     _assert_members_match_filter(7, r, class_tag)
 
 
+# labeled triangle-free (OEIS A006785) and bipartite (A047864) graphs, n = 0..8
+TRIANGLE_FREE = (1, 1, 2, 7, 41, 388, 5789, 133501, 4682270)
+BIPARTITE = (1, 1, 2, 7, 41, 376, 5177, 103237, 2922446)
+
+
+@pytest.mark.parametrize("class_tag,counts", [("clique_free", TRIANGLE_FREE),
+                                              ("r_chromatic", BIPARTITE)])
+def test_class_counts_match_oeis(class_tag, counts):
+    for n in range(8):
+        assert extremal.class_member_masks(n, 2, class_tag).size == counts[n], n
+    # n=8 never lists the members: count the 32 MiB table in 2 MiB slices
+    table = extremal._class_table(8, 2, class_tag)
+    assert sum(int(np.count_nonzero(np.unpackbits(part.view(np.uint8))))
+               for part in np.array_split(table, 16)) == counts[8]
+
+
+def test_class_member_masks_validation():
+    with pytest.raises(ParameterError, match="no mask enumeration"):
+        extremal.class_member_masks(4, 2, "complete_multipartite")
+    with pytest.raises(ParameterError, match="n >= 0"):
+        extremal.class_member_masks(-1, 2, "clique_free")
+    for class_tag in ("clique_free", "r_chromatic"):
+        with pytest.raises(ParameterError, match="r must be >= 1"):
+            extremal.class_member_masks(4, 0, class_tag)
+        # n=9 would need a 2^36-bit (8 GiB) table; refused before allocating
+        with pytest.raises(CapacityError, match="n <= 8"):
+            extremal.class_member_masks(9, 2, class_tag)
+
+
 def _assert_maximal_match_clique_rule(n, r):
     members = extremal.class_member_masks(n, r, "clique_free")
-    got = extremal._maximal_member_masks(n, r, "clique_free", members)
+    got = extremal._maximal_member_masks(extremal._class_table(n, r, "clique_free"), n)
     assert got.dtype == np.int64, (n, r)
     assert np.array_equal(got, _clique_blocked_maximal(n, r, members)), (n, r)
 
@@ -260,10 +290,9 @@ def _assert_maximal_match_clique_rule(n, r):
 def test_maximal_members_match_clique_rule(n):
     for r in range(1, n + 2):
         _assert_maximal_match_clique_rule(n, r)
-        # the lookup holds for any class closed under edge deletion: on the
-        # r-colorable graphs it finds the complete multipartite ones
-        colorable = extremal.class_member_masks(n, r, "r_chromatic")
-        got = extremal._maximal_member_masks(n, r, "clique_free", colorable)
+        # on the r-colorable graphs the same pass finds the complete
+        # multipartite ones
+        got = extremal._maximal_member_masks(extremal._class_table(n, r, "r_chromatic"), n)
         assert np.array_equal(got, np.sort(extremal._multipartite_masks(n, r))), (n, r)
 
 
