@@ -13,6 +13,7 @@ each group. The complete-multipartite class searches integer partitions with
 the closed-form radius instead; distinct partitions are never isomorphic.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -32,6 +33,9 @@ ENUMERATIVE_MAX_VERTICES = 7
 PARTITION_MAX_VERTICES = 60
 DEFAULT_TIE_TOL = 1e-9
 TURAN_BOUNDARY_EPS = 1e-12
+TABLE_CHUNK_WORDS = 1 << 15  # class table words unpacked per pass: 2 MiB of bytes
+SCREEN_STEPS = 5  # power steps behind the screening bound
+SCREEN_HEAD = 4  # first-level masks solved before screening, for a lower bound
 
 CLASS_TAGS = ("clique_free", "r_chromatic", "complete_multipartite")
 
@@ -50,7 +54,8 @@ class ExtremalResult:
     candidates_examined: int
     matrices_solved: int  # matrices passed to the batched eigensolver
     elapsed_seconds: float
-    maximal_members: int = 0  # edge-maximal members solved first; 0 for the partition search
+    maximal_members: int = 0  # edge-maximal members the descent starts from; 0 for the partition search
+    screened: int = 0  # masks the descent excluded by their radius bound, unsolved
 
 
 def _edge_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,10 +110,23 @@ def _lattice_or(src: np.ndarray, dst: np.ndarray, n_edges: int, up: bool) -> Non
             dst2[:, int(up)] |= src2[:, int(not up)]
 
 
+def _table_chunks(words: np.ndarray):
+    """A packed table as (first mask, one bool per mask) slices of
+    TABLE_CHUNK_WORDS words, so no pass holds a byte per mask of the table."""
+    for start in range(0, words.size, TABLE_CHUNK_WORDS):
+        part = words[start:start + TABLE_CHUNK_WORDS].astype("<u8", copy=False)
+        yield start << 6, np.unpackbits(part.view(np.uint8), bitorder="little").view(bool)
+
+
 def _table_masks(words: np.ndarray) -> np.ndarray:
     """The masks set in a packed table, ascending int64."""
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits.view(bool)).astype(np.int64, copy=False)
+    return np.concatenate([np.flatnonzero(bits).astype(np.int64, copy=False) + first
+                           for first, bits in _table_chunks(words)])
+
+
+def _table_count(words: np.ndarray) -> int:
+    """The number of masks set in a packed table."""
+    return sum(int(np.count_nonzero(bits)) for _, bits in _table_chunks(words))
 
 
 def _in_class(masks: np.ndarray, n: int, r: int, class_tag: str) -> np.ndarray:
@@ -155,17 +173,42 @@ def _maximal_member_masks(table: np.ndarray, n: int) -> np.ndarray:
     return _table_masks(table & ~blocked)
 
 
+def _radius_upper_bounds(mats: np.ndarray, alpha: float) -> np.ndarray:
+    """A Collatz-Wielandt upper bound on the top eigenvalue of each matrix of a
+    (b, n, n) stack of M(alpha): max_i (Mx)_i / x_i over the rows with x_i > 0,
+    for x = (M + cI)^k 1 with k = SCREEN_STEPS. M is nonnegative, so the bound
+    holds for any x positive on the non-isolated vertices; a row with x_i = 0
+    is an isolated vertex, whose eigenvalue 0 lies below every ratio. For
+    alpha >= 1/2, M = (2 alpha - 1) D + (1 - alpha)(D + A) is positive
+    semidefinite and c = 0. Below, a bipartite M also has -lambda_1 as an
+    eigenvalue, so the power steps would oscillate; c = (1 - 2 alpha) Delta / 2,
+    Delta the largest row sum, shifts the spectrum up past that."""
+    rows = mats.sum(axis=2)  # M 1
+    shift = max(0.0, 1.0 - 2.0 * alpha) * 0.5 * rows.max(axis=1, keepdims=True)
+    x = rows + shift
+    for _ in range(SCREEN_STEPS - 1):
+        x = np.einsum("bij,bj->bi", mats, x) + shift * x
+    y = np.einsum("bij,bj->bi", mats, x)
+    return np.divide(y, x, out=np.zeros_like(y), where=x > 0).max(axis=1)
+
+
 def _descend_to_ties(table: np.ndarray, n: int, alpha: float, tie_tol: float
-                     ) -> tuple[float, list[int], int, int]:
+                     ) -> tuple[float, list[int], int, int, int]:
     """Maximum radius over the members of a class table, the ascending masks
-    within tie_tol of it, the number of matrices solved to find them and the
-    number of edge-maximal members among them.
+    within tie_tol of it, the number of matrices solved to find them, the
+    number of edge-maximal members and the number of masks left unsolved
+    because their radius bound could not reach the running maximum.
 
     Adding an edge raises M(alpha) entrywise, so the radius never falls along
     a chain of edge additions, and both enumerative classes are closed under
     edge deletion: every tied member lies below a tied edge-maximal member
-    through tied members. Only the maximal members are solved up front; the
-    rest are reached by deleting one edge at a time from tied graphs.
+    through tied members. The descent starts from the maximal members; the
+    rest are reached by deleting one edge at a time from tied graphs. On each
+    level only the masks whose Collatz-Wielandt bound comes within
+    tie_tol + slack of the running maximum are solved; the first level's
+    maximum starts from the SCREEN_HEAD masks bounded highest, always the
+    radius of a solved member. An unsolved mask's radius lies below the
+    maximum by more than tie_tol, so it would be neither tied nor expanded.
     """
     us, vs = _edge_arrays(n)
     bit = np.int64(1) << np.arange(us.size, dtype=np.int64)
@@ -174,11 +217,24 @@ def _descend_to_ties(table: np.ndarray, n: int, alpha: float, tie_tol: float
     seen = np.zeros(1 << us.size, dtype=bool)
     found_masks, found_tops = [], []
     best = -np.inf
-    solved = 0
+    solved = screened = 0
     while level.size:
         seen[level] = True
-        tops = eigvalsh_batch(_batch_alpha_matrices(level, n, alpha, us, vs))[:, 0]
-        solved += level.size
+        mats = _batch_alpha_matrices(level, n, alpha, us, vs)
+        bound = _radius_upper_bounds(mats, alpha)
+        tops = np.full(level.size, -np.inf)
+        if not found_masks:  # first level: a lower bound from the masks bounded highest
+            head = np.argsort(bound)[-SCREEN_HEAD:]
+            tops[head] = eigvalsh_batch(mats[head])[:, 0]
+            best = float(tops.max())
+        # covers the roundoff of the bound and of the solve
+        slack = 1e-9 * max(1.0, abs(best))
+        todo = (tops == -np.inf) & (bound >= best - tie_tol - slack)
+        if todo.any():
+            tops[todo] = eigvalsh_batch(mats[todo])[:, 0]
+        unsolved = int(np.count_nonzero(tops == -np.inf))
+        solved += level.size - unsolved
+        screened += unsolved
         best = max(best, float(tops.max()))
         near = tops >= best - tie_tol
         tied = level[near]
@@ -190,7 +246,7 @@ def _descend_to_ties(table: np.ndarray, n: int, alpha: float, tie_tol: float
     masks = np.concatenate(found_masks)
     # a later level may have raised best past some earlier ties
     keep = np.concatenate(found_tops) >= best - tie_tol
-    return best, np.sort(masks[keep]).tolist(), solved, maximal
+    return best, np.sort(masks[keep]).tolist(), solved, maximal, screened
 
 
 def _membership_check(masks: list[int], graphs: list[Graph], n: int, r: int,
@@ -241,9 +297,10 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
     complete_multipartite(r): complete multipartite graphs with at most r parts,
     searched through integer partitions with the closed-form radius.
     workers is accepted for compatibility and has no effect: scans run in
-    this process.
+    this process. tie_tol must be finite and >= 0.
     """
     a = check_alpha(alpha)
+    tie_tol = _check_tie_tol(tie_tol)
     if class_tag not in CLASS_TAGS:
         raise ParameterError(f"unknown class {class_tag!r}")
     if r < 1:
@@ -272,14 +329,14 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
         graphs = [complete_multipartite(p) for p, _ in near]
         masks = sorted(g.edge_mask() for g in graphs)
         reps = graphs  # distinct partitions are never isomorphic
-        solved = maximal = 0
+        solved = maximal = screened = 0
     else:
         if n > ENUMERATIVE_MAX_VERTICES:
             raise CapacityError(
                 f"enumerative scan limited to n <= {ENUMERATIVE_MAX_VERTICES}, got n={n}")
         table = _class_table(n, r, class_tag)
-        examined = int(np.count_nonzero(np.unpackbits(table.view(np.uint8))))
-        best, masks, solved, maximal = _descend_to_ties(table, n, a, tie_tol)
+        examined = _table_count(table)
+        best, masks, solved, maximal, screened = _descend_to_ties(table, n, a, tie_tol)
         graphs = [Graph.from_edge_mask(n, m) for m in masks]
         reps = _dedupe_isomorphic(graphs)
     outside = _membership_check(masks, graphs, n, r, class_tag)
@@ -289,7 +346,14 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
     elapsed = time.perf_counter() - t0
     return ExtremalResult(class_tag, n, r, float(a), float(best),
                           tuple(int(m) for m in masks), tuple(reps),
-                          examined, solved, elapsed, maximal)
+                          examined, solved, elapsed, maximal, screened)
+
+
+def _check_tie_tol(tie_tol: float) -> float:
+    tie_tol = float(tie_tol)
+    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
+        raise ParameterError(f"tie_tol must be finite and >= 0, got {tie_tol}")
+    return tie_tol
 
 
 @dataclass(frozen=True)
@@ -306,7 +370,8 @@ class TuranCheck:
     solved: int
     elapsed_ms: float
     detail: str = ""
-    maximal: int = 0  # edge-maximal members among the solved
+    maximal: int = 0  # edge-maximal members the scan started from
+    screened: int = 0  # masks excluded by their radius bound, unsolved
 
     def to_json_obj(self, n: int, r: int) -> dict:
         return {
@@ -321,6 +386,7 @@ class TuranCheck:
                                      for el in self.maximizer_edge_lists],
             "examined": self.examined,
             "solved": self.solved,
+            "screened": self.screened,
             "maximal": self.maximal,
             "elapsed_ms": self.elapsed_ms,
             "status": self.status,
@@ -357,6 +423,7 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
         raise ParameterError("need r >= 2")
     if n < r + 1:
         raise ParameterError("need n > r so the class constraint binds")
+    tie_tol = _check_tie_tol(tie_tol)
     checks = []
     boundary = 1.0 - 1.0 / r
     for alpha in alphas:
@@ -406,6 +473,7 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
             examined=res.candidates_examined,
             solved=res.matrices_solved,
             maximal=res.maximal_members,
+            screened=res.screened,
             elapsed_ms=res.elapsed_seconds * 1000.0,
             detail="; ".join(problems),
         ))

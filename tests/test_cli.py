@@ -271,7 +271,8 @@ def test_verify_turan_json_counts_maximal_members(capsys):
     assert rc == 0
     check = json.loads(out)["checks"][0]
     assert check["maximal"] == 162
-    assert check["maximal"] <= check["solved"] < check["examined"]
+    assert check["maximal"] <= check["solved"] + check["screened"]
+    assert 0 < check["screened"] and check["solved"] < check["examined"]
 
 
 def test_psd_threshold_check_failure_exit(capsys, tmp_path, monkeypatch):

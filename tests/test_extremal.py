@@ -307,7 +307,7 @@ def test_maximal_members_match_clique_rule_n7(r):
 def test_maximal_members_counted(n, r, class_tag, maximal):
     res = maximize_over_class(n, r, 0.3, class_tag)
     assert res.maximal_members == maximal
-    assert maximal <= res.matrices_solved
+    assert maximal <= res.matrices_solved + res.screened
     assert maximize_over_class(n, r, 0.3, "complete_multipartite").maximal_members == 0
 
 
@@ -326,7 +326,7 @@ def test_membership_check_rejects_outside_tie(monkeypatch, class_tag, outside, b
     bigger = bad | inside  # also outside the class, but a larger mask
     masks = sorted({inside, bad, bigger, *below})
     monkeypatch.setattr(extremal, "_descend_to_ties",
-                        lambda *args: (1.0, masks, len(masks), 1))
+                        lambda *args: (1.0, masks, len(masks), 1, 0))
     with pytest.raises(SolverError) as info:
         maximize_over_class(5, 2, 0.3, class_tag)
     assert info.value.diagnostics["mask"] == bad
@@ -426,3 +426,198 @@ def test_batch_alpha_matrices_bytes_match(rng):
             single = np.array([alpha_matrix(Graph.from_edge_mask(n, int(m)), alpha)
                                for m in masks])
             assert got.tobytes() == single.tobytes(), (n, alpha)
+
+
+# ---------------------------------------------------------------- screen
+# The descent as it was before the Collatz-Wielandt screen: every mask of
+# every level is solved. The screened descent must find the same maximum,
+# bit for bit, the same tie set, and solve or screen exactly the masks this
+# one solves.
+
+def _unscreened_descend_to_ties(table, n, alpha, tie_tol):
+    us, vs = extremal._edge_arrays(n)
+    bit = np.int64(1) << np.arange(us.size, dtype=np.int64)
+    level = extremal._maximal_member_masks(table, n)
+    maximal = int(level.size)
+    seen = np.zeros(1 << us.size, dtype=bool)
+    found_masks, found_tops = [], []
+    best = -np.inf
+    solved = 0
+    while level.size:
+        seen[level] = True
+        tops = extremal.eigvalsh_batch(
+            extremal._batch_alpha_matrices(level, n, alpha, us, vs))[:, 0]
+        solved += level.size
+        best = max(best, float(tops.max()))
+        near = tops >= best - tie_tol
+        tied = level[near]
+        found_masks.append(tied)
+        found_tops.append(tops[near])
+        # every tied graph with one of its edges deleted
+        children = np.unique((tied[:, np.newaxis] ^ bit)[(tied[:, np.newaxis] & bit) != 0])
+        level = children[~seen[children]]
+    masks = np.concatenate(found_masks)
+    # a later level may have raised best past some earlier ties
+    keep = np.concatenate(found_tops) >= best - tie_tol
+    return best, np.sort(masks[keep]).tolist(), solved, maximal
+
+
+# 0, the alpha at which LAPACK's values-only path fails, the regimes on both
+# sides of every boundary, the last float below 1, and 1
+SCREEN_ALPHAS = (0.0, 6.692927171766018e-161, 0.05, 0.2, 0.3, 0.45, 0.55, 0.7,
+                 0.8, 0.95, 1.0 - 2.0 ** -53, 1.0)
+
+
+def _screen_alphas(n, r):
+    alphas = sorted({*SCREEN_ALPHAS, 1.0 - 1.0 / r})
+    if n == 7 and r >= 3:
+        # at alpha >= 1 - 2^-53 every graph with a dominating vertex ties
+        # (up to 209,868 masks, about 10 s per case for the two descents)
+        alphas = [a for a in alphas if a < 1.0 - 2.0 ** -53]
+    return alphas
+
+
+@pytest.mark.parametrize("class_tag", ["clique_free", "r_chromatic"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_screened_descent_matches_unscreened(n, class_tag):
+    for r in range(1, n + 2):
+        table = extremal._class_table(n, r, class_tag)
+        for alpha in _screen_alphas(n, r):
+            # with tie_tol = 0 only the slack keeps a tie whose bound rounds low
+            for tie_tol in (extremal.DEFAULT_TIE_TOL, 0.0) if n < 7 else (extremal.DEFAULT_TIE_TOL,):
+                case = (n, r, alpha, tie_tol)
+                best, ties, solved, maximal, screened = extremal._descend_to_ties(
+                    table, n, alpha, tie_tol)
+                want = _unscreened_descend_to_ties(table, n, alpha, tie_tol)
+                assert best.hex() == want[0].hex(), case
+                assert ties == want[1], case
+                assert solved + screened == want[2], case
+                assert maximal == want[3], case
+
+
+@pytest.mark.parametrize("n,r", [(5, 2), (5, 4), (6, 2), (6, 3), (7, 2)])
+def test_screened_scan_reps_match_unscreened(monkeypatch, n, r):
+    for class_tag in ("clique_free", "r_chromatic"):
+        for alpha in (0.0, 0.3, 1.0 - 1.0 / r, 0.8, 1.0):
+            got = maximize_over_class(n, r, alpha, class_tag)
+            with monkeypatch.context() as m:
+                m.setattr(extremal, "_descend_to_ties",
+                          lambda *args: (*_unscreened_descend_to_ties(*args), 0))
+                want = maximize_over_class(n, r, alpha, class_tag)
+            case = (n, r, alpha, class_tag)
+            assert got.max_radius.hex() == want.max_radius.hex(), case
+            assert got.maximizers == want.maximizers, case
+            assert [g.edges for g in got.maximizer_reps] == \
+                [g.edges for g in want.maximizer_reps], case
+            assert got.matrices_solved + got.screened == want.matrices_solved, case
+
+
+def _solved_masks(mats, n):
+    """Edge masks of a stack of M(alpha) with alpha < 1, read off the
+    off-diagonal pattern."""
+    us, vs = extremal._edge_arrays(n)
+    return ((mats[:, us, vs] != 0) * (1 << np.arange(us.size))).sum(axis=1)
+
+
+@pytest.mark.parametrize("n,r,alpha,class_tag", [(7, 2, 0.3, "clique_free"),
+                                                 (7, 2, 0.7, "clique_free"),
+                                                 (6, 3, 0.4, "clique_free"),
+                                                 (6, 3, 0.9, "r_chromatic"),
+                                                 (5, 2, 0.0, "clique_free")])
+def test_screened_counts_masks_left_unsolved(monkeypatch, n, r, alpha, class_tag):
+    calls = []
+    real = extremal.eigvalsh_batch
+
+    def spy(mats):
+        calls.append(_solved_masks(mats, n))
+        return real(mats)
+
+    monkeypatch.setattr(extremal, "eigvalsh_batch", spy)
+    table = extremal._class_table(n, r, class_tag)
+    _unscreened_descend_to_ties(table, n, alpha, extremal.DEFAULT_TIE_TOL)
+    visited = set(np.concatenate(calls).tolist())
+    calls.clear()
+    res = maximize_over_class(n, r, alpha, class_tag)
+    solved = np.concatenate(calls).tolist()
+    assert len(set(solved)) == len(solved) == res.matrices_solved  # none twice
+    assert set(solved) <= visited
+    unsolved = visited - set(solved)
+    assert res.screened == len(unsolved) > 0
+    maximal = set(extremal._maximal_member_masks(table, n).tolist())
+    assert maximal <= visited
+    assert res.maximal_members == len(maximal & unsolved) + len(maximal & set(solved))
+    if class_tag == "clique_free":
+        check = verify_turan(n, r, [alpha]).to_json_obj()["checks"][0]
+        assert (check["solved"], check["screened"], check["maximal"]) == \
+            (res.matrices_solved, res.screened, res.maximal_members)
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.floats(0.0, 1.0))
+@example(alpha=0.0)
+@example(alpha=6.692927171766018e-161)
+@example(alpha=0.5)
+@example(alpha=1.0 - 2.0 ** -53)
+@example(alpha=1.0)
+def test_radius_upper_bound_holds_on_every_graph(alpha):
+    # every labeled graph on n <= 6 vertices: the members of every class
+    # table, isolated vertices, disconnected and edgeless graphs included
+    for n in range(1, 7):
+        us, vs = extremal._edge_arrays(n)
+        masks = np.arange(1 << us.size, dtype=np.int64)
+        mats = extremal._batch_alpha_matrices(masks, n, alpha, us, vs)
+        tops = eigvalsh_batch(mats)[:, 0]
+        bound = extremal._radius_upper_bounds(mats, alpha)
+        gap = tops - bound
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, tops)), (n, alpha, gap.max())
+    # a matching plus an isolated vertex, and two disjoint triangles
+    for g in (Graph(5, ((0, 1), (2, 3))),
+              Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))):
+        mat = alpha_matrix(g, alpha)[np.newaxis]
+        top = eigenvalues_only(mat[0])[0]
+        assert extremal._radius_upper_bounds(mat, alpha)[0] >= top - 1e-12 * max(1.0, top)
+
+
+@pytest.mark.parametrize("tie_tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_bad_tie_tol_rejected(tie_tol):
+    for class_tag in extremal.CLASS_TAGS:
+        with pytest.raises(ParameterError, match="tie_tol"):
+            maximize_over_class(5, 2, 0.3, class_tag, tie_tol=tie_tol)
+    with pytest.raises(ParameterError, match="tie_tol"):
+        verify_turan(5, 2, [0.3], tie_tol=tie_tol)
+    with pytest.raises(ParameterError, match="tie_tol"):
+        verify_turan(5, 2, [], tie_tol=tie_tol)
+
+
+def test_zero_tie_tol_accepted():
+    out = verify_turan(5, 2, [0.2, 0.8], tie_tol=0.0)
+    assert out.ok and all(c.maximizer_edge_lists for c in out.checks)
+
+
+# ---------------------------------------------------------------- table slices
+
+def _unsliced_table_masks(words):
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    return np.flatnonzero(bits.view(bool)).astype(np.int64, copy=False)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 10])
+def test_table_slices_match_whole_table(monkeypatch, chunk):
+    for n in range(1, 8):
+        for class_tag in ("clique_free", "r_chromatic"):
+            table = extremal._class_table(n, 2, class_tag)
+            want = _unsliced_table_masks(table)
+            want_maximal = extremal._maximal_member_masks(table, n)  # one slice at n <= 7
+            with monkeypatch.context() as m:
+                m.setattr(extremal, "TABLE_CHUNK_WORDS", chunk)
+                got = extremal._table_masks(table)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (n, class_tag)
+                assert extremal._table_count(table) == want.size, (n, class_tag)
+                assert np.array_equal(extremal._maximal_member_masks(table, n), want_maximal)
+
+
+def test_table_count_n8_spans_many_slices():
+    # 2^22 words, 128 slices of TABLE_CHUNK_WORDS
+    table = extremal._class_table(8, 2, "clique_free")
+    assert table.size > extremal.TABLE_CHUNK_WORDS
+    assert extremal._table_count(table) == TRIANGLE_FREE[8]
