@@ -11,6 +11,11 @@ one stacked LAPACK eigenvalue call. Ties are grouped into isomorphism classes
 exactly: by sorted degrees, then by a backtracking isomorphism test within
 each group. The complete-multipartite class searches integer partitions with
 the closed-form radius instead; distinct partitions are never isomorphic.
+
+A class table, its member count and its edge-maximal members do not depend
+on alpha. verify_turan builds the count and the maximal members once per
+call, just before its first scan, and scans every alpha from them; nothing
+is kept across calls.
 """
 
 import math
@@ -126,7 +131,7 @@ def _table_masks(words: np.ndarray) -> np.ndarray:
 
 def _table_count(words: np.ndarray) -> int:
     """The number of masks set in a packed table."""
-    return sum(int(np.count_nonzero(bits)) for _, bits in _table_chunks(words))
+    return int(np.bitwise_count(words).sum(dtype=np.int64))
 
 
 def _in_class(masks: np.ndarray, n: int, r: int, class_tag: str) -> np.ndarray:
@@ -192,12 +197,23 @@ def _radius_upper_bounds(mats: np.ndarray, alpha: float) -> np.ndarray:
     return np.divide(y, x, out=np.zeros_like(y), where=x > 0).max(axis=1)
 
 
-def _descend_to_ties(table: np.ndarray, n: int, alpha: float, tie_tol: float
+def _enumerative_members(n: int, r: int, class_tag: str) -> tuple[int, np.ndarray]:
+    """What a scan needs of an enumerative class at every alpha: its member
+    count and its ascending edge-maximal member masks."""
+    if n > ENUMERATIVE_MAX_VERTICES:
+        raise CapacityError(
+            f"enumerative scan limited to n <= {ENUMERATIVE_MAX_VERTICES}, got n={n}")
+    table = _class_table(n, r, class_tag)
+    return _table_count(table), _maximal_member_masks(table, n)
+
+
+def _descend_to_ties(maximal_masks: np.ndarray, n: int, alpha: float, tie_tol: float
                      ) -> tuple[float, list[int], int, int, int]:
-    """Maximum radius over the members of a class table, the ascending masks
-    within tie_tol of it, the number of matrices solved to find them, the
-    number of edge-maximal members and the number of masks left unsolved
-    because their radius bound could not reach the running maximum.
+    """Maximum radius over the members of a class closed under edge deletion,
+    given its ascending edge-maximal members: the ascending masks within
+    tie_tol of it, the number of matrices solved to find them, the number of
+    edge-maximal members and the number of masks left unsolved because their
+    radius bound could not reach the running maximum.
 
     Adding an edge raises M(alpha) entrywise, so the radius never falls along
     a chain of edge additions, and both enumerative classes are closed under
@@ -212,7 +228,7 @@ def _descend_to_ties(table: np.ndarray, n: int, alpha: float, tie_tol: float
     """
     us, vs = _edge_arrays(n)
     bit = np.int64(1) << np.arange(us.size, dtype=np.int64)
-    level = _maximal_member_masks(table, n)
+    level = maximal_masks
     maximal = int(level.size)
     seen = np.zeros(1 << us.size, dtype=bool)
     found_masks, found_tops = [], []
@@ -289,7 +305,8 @@ def _dedupe_isomorphic(graphs: list[Graph]) -> list[Graph]:
 
 def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
                         tie_tol: float = DEFAULT_TIE_TOL,
-                        workers: int | None = None) -> ExtremalResult:
+                        workers: int | None = None, *,
+                        _members: tuple[int, np.ndarray] | None = None) -> ExtremalResult:
     """Exhaustive spectral-radius maximization of M(alpha) over one graph class.
 
     clique_free(r): graphs with no complete subgraph on r+1 vertices.
@@ -297,7 +314,8 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
     complete_multipartite(r): complete multipartite graphs with at most r parts,
     searched through integer partitions with the closed-form radius.
     workers is accepted for compatibility and has no effect: scans run in
-    this process. tie_tol must be finite and >= 0.
+    this process. tie_tol must be finite and >= 0. _members is the
+    _enumerative_members of the class when the caller has built it already.
     """
     a = check_alpha(alpha)
     tie_tol = _check_tie_tol(tie_tol)
@@ -331,12 +349,9 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
         reps = graphs  # distinct partitions are never isomorphic
         solved = maximal = screened = 0
     else:
-        if n > ENUMERATIVE_MAX_VERTICES:
-            raise CapacityError(
-                f"enumerative scan limited to n <= {ENUMERATIVE_MAX_VERTICES}, got n={n}")
-        table = _class_table(n, r, class_tag)
-        examined = _table_count(table)
-        best, masks, solved, maximal, screened = _descend_to_ties(table, n, a, tie_tol)
+        examined, maximal_masks = _members or _enumerative_members(n, r, class_tag)
+        best, masks, solved, maximal, screened = _descend_to_ties(
+            maximal_masks, n, a, tie_tol)
         graphs = [Graph.from_edge_mask(n, m) for m in masks]
         reps = _dedupe_isomorphic(graphs)
     outside = _membership_check(masks, graphs, n, r, class_tag)
@@ -368,7 +383,7 @@ class TuranCheck:
     maximizer_edge_lists: tuple[tuple[tuple[int, int], ...], ...]
     examined: int
     solved: int
-    elapsed_ms: float
+    elapsed_ms: float  # the first check also carries the call's one class build
     detail: str = ""
     maximal: int = 0  # edge-maximal members the scan started from
     screened: int = 0  # masks excluded by their radius bound, unsolved
@@ -417,7 +432,8 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
     must be the unique maximizer up to isomorphism; above it, the split graph
     (clique on r-1 vertices joined to the rest); within 1e-12 of the boundary
     every complete r-partite graph must tie at (1 - 1/r) * n. workers has no
-    effect, as in maximize_over_class.
+    effect, as in maximize_over_class. The class is built once, before the
+    first scan, and its time counts in the first check's elapsed_ms.
     """
     if not 2 <= r:
         raise ParameterError("need r >= 2")
@@ -426,12 +442,18 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
     tie_tol = _check_tie_tol(tie_tol)
     checks = []
     boundary = 1.0 - 1.0 / r
+    members = expect_masks = None  # built once, when the first alpha needs them
     for alpha in alphas:
         a = check_alpha(alpha)
         if a == 1.0:
             raise ParameterError("verification needs alpha < 1")
-        res = maximize_over_class(n, r, a, "clique_free",
-                                  tie_tol=tie_tol, workers=workers)
+        build_s = 0.0
+        if members is None:
+            t0 = time.perf_counter()
+            members = _enumerative_members(n, r, "clique_free")
+            build_s = time.perf_counter() - t0
+        res = maximize_over_class(n, r, a, "clique_free", tie_tol=tie_tol,
+                                  workers=workers, _members=members)
         problems = []
         if abs(a - boundary) <= TURAN_BOUNDARY_EPS:
             regime = "tie"
@@ -439,7 +461,8 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
             if abs(res.max_radius - expected_radius) > 1e-9:
                 problems.append(
                     f"max {res.max_radius!r} differs from {expected_radius!r}")
-            expect_masks = set(_multipartite_masks(n, r).tolist())
+            if expect_masks is None:
+                expect_masks = set(_multipartite_masks(n, r).tolist())
             got_masks = set(res.maximizers)
             if got_masks != expect_masks:
                 missing = sorted(expect_masks - got_masks)[:4]
@@ -474,7 +497,7 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
             solved=res.matrices_solved,
             maximal=res.maximal_members,
             screened=res.screened,
-            elapsed_ms=res.elapsed_seconds * 1000.0,
+            elapsed_ms=(build_s + res.elapsed_seconds) * 1000.0,
             detail="; ".join(problems),
         ))
     return TuranVerification(n, r, tuple(checks))

@@ -434,10 +434,10 @@ def test_batch_alpha_matrices_bytes_match(rng):
 # bit for bit, the same tie set, and solve or screen exactly the masks this
 # one solves.
 
-def _unscreened_descend_to_ties(table, n, alpha, tie_tol):
+def _unscreened_descend_to_ties(maximal_masks, n, alpha, tie_tol):
     us, vs = extremal._edge_arrays(n)
     bit = np.int64(1) << np.arange(us.size, dtype=np.int64)
-    level = extremal._maximal_member_masks(table, n)
+    level = maximal_masks
     maximal = int(level.size)
     seen = np.zeros(1 << us.size, dtype=bool)
     found_masks, found_tops = [], []
@@ -481,14 +481,15 @@ def _screen_alphas(n, r):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_screened_descent_matches_unscreened(n, class_tag):
     for r in range(1, n + 2):
-        table = extremal._class_table(n, r, class_tag)
+        maximal_masks = extremal._maximal_member_masks(
+            extremal._class_table(n, r, class_tag), n)
         for alpha in _screen_alphas(n, r):
             # with tie_tol = 0 only the slack keeps a tie whose bound rounds low
             for tie_tol in (extremal.DEFAULT_TIE_TOL, 0.0) if n < 7 else (extremal.DEFAULT_TIE_TOL,):
                 case = (n, r, alpha, tie_tol)
                 best, ties, solved, maximal, screened = extremal._descend_to_ties(
-                    table, n, alpha, tie_tol)
-                want = _unscreened_descend_to_ties(table, n, alpha, tie_tol)
+                    maximal_masks, n, alpha, tie_tol)
+                want = _unscreened_descend_to_ties(maximal_masks, n, alpha, tie_tol)
                 assert best.hex() == want[0].hex(), case
                 assert ties == want[1], case
                 assert solved + screened == want[2], case
@@ -534,7 +535,8 @@ def test_screened_counts_masks_left_unsolved(monkeypatch, n, r, alpha, class_tag
 
     monkeypatch.setattr(extremal, "eigvalsh_batch", spy)
     table = extremal._class_table(n, r, class_tag)
-    _unscreened_descend_to_ties(table, n, alpha, extremal.DEFAULT_TIE_TOL)
+    _unscreened_descend_to_ties(extremal._maximal_member_masks(table, n), n, alpha,
+                                extremal.DEFAULT_TIE_TOL)
     visited = set(np.concatenate(calls).tolist())
     calls.clear()
     res = maximize_over_class(n, r, alpha, class_tag)
@@ -592,6 +594,54 @@ def test_bad_tie_tol_rejected(tie_tol):
 def test_zero_tie_tol_accepted():
     out = verify_turan(5, 2, [0.2, 0.8], tie_tol=0.0)
     assert out.ok and all(c.maximizer_edge_lists for c in out.checks)
+
+
+# ---------------------------------------------------------------- one build per call
+# verify_turan builds the class once and scans every alpha with it; each check
+# must be exactly what a call with that alpha alone reports.
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_multi_alpha_checks_match_single_alpha(n):
+    for r in range(2, n):
+        alphas = [a for a in _screen_alphas(n, r) if a < 1.0]
+        for tie_tol in (extremal.DEFAULT_TIE_TOL, 0.0):
+            many = verify_turan(n, r, alphas, tie_tol=tie_tol).to_json_obj()["checks"]
+            assert len(many) == len(alphas)
+            for a, got in zip(alphas, many):
+                want = verify_turan(n, r, [a], tie_tol=tie_tol).to_json_obj()["checks"][0]
+                case = (n, r, a, tie_tol)
+                assert got.keys() == want.keys(), case
+                for key in got.keys() - {"elapsed_ms"}:
+                    g, w = got[key], want[key]
+                    if isinstance(w, float):
+                        assert isinstance(g, float) and g.hex() == w.hex(), (case, key)
+                    else:
+                        assert g == w, (case, key)
+
+
+def test_class_built_once_per_call(monkeypatch, capsys):
+    from alphaspec import cli
+
+    calls = []
+    real = extremal._class_table
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extremal, "_class_table", spy)
+    out = verify_turan(6, 2, [0.3, 0.5, 0.8])
+    assert out.ok and len(out.checks) == 3
+    assert calls == [(6, 2, "clique_free")]
+    calls.clear()
+    assert verify_turan(6, 2, []).checks == ()
+    with pytest.raises(ParameterError):
+        verify_turan(6, 2, [1.0, 0.3])
+    with pytest.raises(CapacityError):
+        verify_turan(8, 2, [0.3])
+    assert cli.main(["verify-turan", "--n", "8", "--r", "2", "--alphas", "0.3"]) == 65
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
 
 
 # ---------------------------------------------------------------- table slices
