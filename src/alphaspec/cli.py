@@ -8,6 +8,7 @@ parameter values, 65 unreadable or oversized input data, 66 missing input file,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -16,11 +17,11 @@ from .bounds import bound_report
 from .closed_forms import (ClosedFormSpectrum, spectrum_complete,
                            spectrum_complete_bipartite,
                            spectrum_complete_multipartite, spectrum_star)
-from .combinatorics import enumerate_graphs, is_clique_free
+from .combinatorics import _check_enumeration_order, enumerate_graphs
 from .eigensolver import alpha_sweep, full_spectrum, psd_threshold
 from .errors import (CapacityError, GraphFormatError, ParameterError,
                      SolverError)
-from .extremal import verify_turan
+from .extremal import class_member_masks, verify_turan
 from .graphs import Graph, format_edge_list, parse_edge_list
 from .matrices import MATRIX_KINDS, alpha_matrix, assemble
 
@@ -199,13 +200,17 @@ def cmd_psd_threshold(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    pred = None
-    if args.clique_free is not None:
-        if args.clique_free < 2:
-            raise ParameterError("--clique-free needs a clique size >= 2")
-        pred = lambda g: is_clique_free(g, args.clique_free)
+    if args.clique_free is None:
+        graphs = enumerate_graphs(args.n)
+    elif args.clique_free < 2:
+        raise ParameterError("--clique-free needs a clique size >= 2")
+    else:
+        _check_enumeration_order(args.n)  # the unfiltered stream's range errors
+        # the class table lists the members in the same ascending mask order
+        masks = class_member_masks(args.n, args.clique_free - 1, "clique_free")
+        graphs = (Graph.from_edge_mask(args.n, int(m)) for m in masks)
     count = 0
-    for g in enumerate_graphs(args.n, predicate=pred):
+    for g in graphs:
         sys.stdout.write(format_edge_list(g))
         sys.stdout.write("\n")
         count += 1
@@ -213,7 +218,10 @@ def cmd_enumerate(args) -> int:
     return EX_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing keeps no
+    state in it, so every main call reuses it."""
     ap = argparse.ArgumentParser(
         prog="alphaspec",
         description="Spectra, bounds, and extremal checks for the convex "

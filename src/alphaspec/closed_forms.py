@@ -1,20 +1,20 @@
 """Exact spectra for structured families of the interpolation matrix M(alpha).
 
-Each function returns the spectrum predicted by a closed formula (or, for
-complete multipartite graphs, by bisection on the secular equation), so the
-numeric eigensolver can be checked against it and vice versa.
+Each function returns the spectrum predicted by a closed formula (for
+complete multipartite graphs, formula layers plus the eigenvalues of a small
+quotient matrix, one row per distinct part size), so the numeric eigensolver
+can be checked against it and vice versa.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolver import eigenvalues_only
 from .errors import ParameterError, SolverError
 from .matrices import check_alpha
-
-SECULAR_BISECTION_TOL = 1e-12
-SECULAR_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -134,82 +134,45 @@ def join_regular_radius(r1: int, n1: int, r2: int, n2: int, alpha: float) -> flo
     return 0.5 * (u + v + math.sqrt(disc))
 
 
-def _secular_sum(lam: float, alpha: float, sizes, n: int) -> float:
-    return sum(nk / (lam - alpha * n + nk) for nk in sizes)
+def _part_groups(sizes: list[int]) -> list[tuple[int, int]]:
+    """(size, count) for each distinct part size, sizes descending, so nothing
+    downstream depends on the order of the parts."""
+    if any(s < 1 for s in sizes):
+        raise ParameterError("part sizes must be >= 1")
+    return sorted(Counter(sizes).items(), reverse=True)
+
+
+def _quotient_eigenvalues(groups, a: float, n: int) -> np.ndarray:
+    """Eigenvalues, descending, of M(alpha) on the vectors constant on each
+    group of equal-size parts: the symmetrized quotient of that equitable
+    partition. A group of c parts of size s has diagonal entry
+    alpha*(n - s) + (1-alpha)*(c - 1)*s; groups s and t are joined by
+    (1-alpha)*sqrt(c_s*s * c_t*t)."""
+    s, c = np.array(groups, dtype=np.float64).T
+    q = (1.0 - a) * np.sqrt(np.outer(c * s, c * s))
+    np.fill_diagonal(q, a * (n - s) + (1.0 - a) * (c - 1.0) * s)
+    return eigenvalues_only(q)
 
 
 def multipartite_radius(part_sizes, alpha: float) -> float:
     """Largest eigenvalue of M(alpha) for a complete multipartite graph.
 
-    Root of sum_k n_k / (x - alpha*n + n_k) = 1/(1-alpha), bracketed on the
-    side of alpha*n determined by the sign of r - 1/(1-alpha) and located by
-    bisection. Exactly at 1/(1-alpha) = r the root is alpha*n itself.
+    The top eigenvalue of the quotient over groups of equal-size parts, which
+    is the largest root of sum_k n_k / (x - alpha*n + n_k) = 1/(1-alpha).
+    Exactly at 1/(1-alpha) = r (the number of parts) the root is alpha*n
+    itself, returned as such.
     """
     a = check_alpha(alpha)
     sizes = [int(s) for s in part_sizes]
     if len(sizes) < 2:
         raise ParameterError("complete multipartite radius needs at least 2 parts")
-    if any(s < 1 for s in sizes):
-        raise ParameterError("part sizes must be >= 1")
+    groups = _part_groups(sizes)
     if a == 1.0:
         raise ParameterError("secular form is degenerate at alpha = 1")
-    r = len(sizes)
     n = sum(sizes)
-    target = 1.0 / (1.0 - a)
-    if target == float(r):
+    if 1.0 / (1.0 - a) == float(len(sizes)):
         return a * n
-    if target < r:
-        # root lies right of alpha*n; the sum is r at alpha*n and below target at n
-        lo, hi = a * n, float(n)
-    else:
-        # root lies between the largest pole and alpha*n
-        n_min = min(sizes)
-        lo = _off_pole(n_min, n_min * 1e-6, a, sizes, n, target)
-        if _secular_sum(lo, a, sizes, n) <= target:
-            return lo  # no usable float between the pole and the root
-        hi = a * n
-    return _secular_root_between(lo, hi, a, sizes, n, target)
-
-
-def _off_pole(s: int, off: float, a: float, sizes, n: int, target: float) -> float:
-    """Bracket end beside the pole alpha*n - s, on the side of off's sign:
-    pole + off, with off divided by 1024 while the root lies between that
-    point and the pole. Where that step would not move, or would reach the
-    pole as the sum computes it (a zero or sign-flipped denominator), off is
-    halved instead; where halving cannot move either, the point is returned
-    with the root still nearer the pole, within a few ulps of alpha*n."""
-    pole = a * n - s
-    x = pole + off
-    while (_secular_sum(x, a, sizes, n) <= target) == (off > 0):
-        for shrink in (1024.0, 2.0):
-            nxt = pole + off / shrink
-            if nxt != x and (nxt - a * n + s) * off > 0.0:
-                break
-        else:
-            return x
-        off /= shrink
-        x = nxt
-    return x
-
-
-def _secular_root_between(lo: float, hi: float, a: float, sizes, n: int,
-                          target: float) -> float:
-    """Bisect the strictly decreasing secular sum down to target inside (lo, hi)."""
-    flo = _secular_sum(lo, a, sizes, n)
-    fhi = _secular_sum(hi, a, sizes, n)
-    if not (flo > target >= fhi or flo >= target > fhi):
-        raise SolverError("secular bracket failed", lo=lo, hi=hi, flo=flo, fhi=fhi)
-    for _ in range(SECULAR_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= SECULAR_BISECTION_TOL:
-            break
-        if _secular_sum(mid, a, sizes, n) > target:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise SolverError("secular bisection failed to converge", lo=lo, hi=hi)
-    return 0.5 * (lo + hi)
+    return float(_quotient_eigenvalues(groups, a, n)[0])
 
 
 def spectrum_complete_multipartite(part_sizes, alpha: float) -> ClosedFormSpectrum:
@@ -217,43 +180,19 @@ def spectrum_complete_multipartite(part_sizes, alpha: float) -> ClosedFormSpectr
 
     Three layers: vectors inside one part summing to zero give alpha*(n - s)
     with multiplicity s - 1 per part of size s; balanced differences between
-    equal-size parts sit exactly at the pole alpha*n - s, one fewer than the
-    number of such parts; the remaining eigenvalues are secular roots, one in
-    each gap between consecutive distinct poles and one above the largest.
+    equal-size parts give alpha*n - s, one fewer than the number of such
+    parts; the vectors constant on each group of equal-size parts give the
+    eigenvalues of the quotient matrix, one per distinct part size.
     """
     a = check_alpha(alpha)
-    sizes = sorted((int(s) for s in part_sizes), reverse=True)
+    sizes = [int(s) for s in part_sizes]
     if not sizes:
         raise ParameterError("need at least one part")
-    if any(s < 1 for s in sizes):
-        raise ParameterError("part sizes must be >= 1")
+    groups = _part_groups(sizes)
     n = sum(sizes)
-    if len(sizes) == 1:
-        return ClosedFormSpectrum(((0.0, n),), source="complete_multipartite")
-    if a == 1.0:
-        # the degree matrix alone: every vertex in a part of size s has degree n - s
-        return ClosedFormSpectrum(_sorted_pairs((n - s, s) for s in sizes),
-                                  source="complete_multipartite")
-    counts: dict[int, int] = {}
-    for s in sizes:
-        counts[s] = counts.get(s, 0) + 1
-    pairs = []
-    for s, c in counts.items():
-        if s >= 2:
-            pairs.append((a * (n - s), c * (s - 1)))
-        if c >= 2:
-            pairs.append((a * n - s, c - 1))
-    desc = sorted(counts, reverse=True)  # poles alpha*n - s ascending
-    target = 1.0 / (1.0 - a)
-    pairs.append((multipartite_radius(sizes, a), 1))
-    for s_lo, s_hi in zip(desc, desc[1:]):
-        off = ((a * n - s_hi) - (a * n - s_lo)) * 1e-6
-        lo = _off_pole(s_lo, off, a, sizes, n, target)
-        hi = _off_pole(s_hi, -off, a, sizes, n, target)
-        if _secular_sum(lo, a, sizes, n) <= target:
-            pairs.append((lo, 1))  # no usable float between the pole and the root
-        else:
-            pairs.append((_secular_root_between(lo, hi, a, sizes, n, target), 1))
+    pairs = [(a * (n - s), c * (s - 1)) for s, c in groups]
+    pairs += [(a * n - s, c - 1) for s, c in groups]
+    pairs += [(v, 1) for v in _quotient_eigenvalues(groups, a, n)]
     out = ClosedFormSpectrum(_sorted_pairs(pairs), source="complete_multipartite")
     if out.n != n:
         raise SolverError("multipartite spectrum lost multiplicity",

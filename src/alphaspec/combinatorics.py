@@ -223,6 +223,14 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return _find_isomorphism(g, h) is not None
 
 
+def _check_enumeration_order(n: int) -> None:
+    if n > ENUMERATION_MAX_VERTICES:
+        raise CapacityError(
+            f"enumeration limited to n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
+    if n < 0:
+        raise ParameterError("vertex count must be nonnegative")
+
+
 def enumerate_graphs(n: int, predicate=None, start: int = 0, stop=None):
     """Yield every labeled graph on n vertices in edge-bitmask order.
 
@@ -230,11 +238,7 @@ def enumerate_graphs(n: int, predicate=None, start: int = 0, stop=None):
     predicate filters the yielded graphs (it does not shrink the scan, so the
     n <= 8 cap applies regardless).
     """
-    if n > ENUMERATION_MAX_VERTICES:
-        raise CapacityError(
-            f"enumeration limited to n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
-    if n < 0:
-        raise ParameterError("vertex count must be nonnegative")
+    _check_enumeration_order(n)
     total = 1 << len(edge_order(n))
     if stop is None:
         stop = total

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from alphaspec import alpha_matrix, cli, complete_multipartite, eigenvalues_only
+from alphaspec import (alpha_matrix, cli, complete_multipartite, eigenvalues_only,
+                       enumerate_graphs, format_edge_list, is_clique_free)
 from alphaspec.bounds import BoundRecord, BoundReport
 
 
@@ -187,6 +188,24 @@ def test_psd_threshold_cli(capsys, tmp_path):
     assert doc["threshold"] == pytest.approx(1 / 3, abs=1e-8)
 
 
+def test_parser_built_once_and_reused(capsys, p4_file):
+    # one parser serves every call: an option set or a usage error in one call
+    # leaves nothing behind for the next
+    calls = [("spectrum", p4_file, "--alpha", "0.5", "--matrix", "laplacian"),
+             ("spectrum", p4_file, "--alpha", "0.5", "--bogus"),
+             ("spectrum", p4_file, "--alpha", "0.5"),
+             ("closed-form", "--family", "multipartite", "--params", "3", "2",
+              "--alpha", "0.25", "--json")]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [rc for rc, _, _ in fresh] == [0, cli.EX_USAGE, 0, 0]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_enumerate_streams_blocks(capsys):
     rc, out, err = run(capsys, "enumerate", "--n", "3")
     assert rc == 0
@@ -196,6 +215,22 @@ def test_enumerate_streams_blocks(capsys):
     rc, out, err = run(capsys, "enumerate", "--n", "4", "--clique-free", "3")
     assert rc == 0
     assert "# 41 graphs" in err
+
+
+def test_enumerate_clique_free_matches_filtered_enumeration(capsys):
+    # the class table path prints exactly what filtering every labeled graph did
+    cases = [(n, s) for n in range(6) for s in range(2, n + 3)] + [(6, 3)]
+    for n, s in cases:
+        rc, out, err = run(capsys, "enumerate", "--n", str(n), "--clique-free", str(s))
+        want = [format_edge_list(g) + "\n" for g in
+                enumerate_graphs(n, predicate=lambda g: is_clique_free(g, s))]
+        assert rc == 0
+        assert out == "".join(want)
+        assert err == f"# {len(want)} graphs\n"
+    for n in ("9", "-1"):
+        refused = run(capsys, "enumerate", "--n", n, "--clique-free", "3")
+        assert refused == run(capsys, "enumerate", "--n", n)
+        assert refused[0] in (cli.EX_DATAERR, cli.EX_USAGE)
 
 
 def test_enumerate_capacity(capsys):
@@ -262,7 +297,15 @@ def test_closed_form_prints_each_value_once(capsys):
     assert rc == 0 and "eigenvalues: 3 (x4)" in out
     rc, out, _ = run(capsys, "closed-form", "--family", "multipartite",
                      "--params", "1", "6", "3", "--alpha", "0.9999999999999999")
-    assert rc == 0 and "6.999999999999999 (x3)" in out
+    assert rc == 0 and out.startswith("eigenvalues: ")
+    printed = []
+    for piece in out[len("eigenvalues: "):].strip().split(", "):
+        value, mult = piece.split(" (x")
+        printed += [float(value)] * int(mult.rstrip(")"))
+    dense = eigenvalues_only(alpha_matrix(complete_multipartite([1, 6, 3]),
+                                          0.9999999999999999))
+    assert len(printed) == 10
+    assert np.max(np.abs(np.array(printed) - dense)) <= 1e-9
 
 
 def test_verify_turan_json_counts_maximal_members(capsys):

@@ -83,13 +83,40 @@ def test_multipartite_radius_known_values():
 @settings(max_examples=60, deadline=None)
 @given(parts=st.lists(st.integers(1, 6), min_size=2, max_size=5),
        alpha=st.floats(0.0, 1.0, exclude_max=True))
-# 1 - 2**-53: the root lies closer to the largest pole than the 1024-fold
-# steps toward it can reach without landing on the pole itself
+# 1 - 2**-53: the root lies within ulps of the largest pole alpha*n - min part
 @example(parts=[1, 1], alpha=0.9999999999999999)
 @example(parts=[1, 6], alpha=0.9999999999999999)
 def test_multipartite_radius_matches_dense_solve(parts, alpha):
     dense = eigenvalues_only(alpha_matrix(complete_multipartite(parts), alpha))[0]
     assert multipartite_radius(parts, alpha) == pytest.approx(dense, abs=1e-9)
+
+
+@st.composite
+def parts_and_alpha(draw):
+    """Part sizes drawn from a pool of at most three sizes, so equal sizes
+    (the alpha*n - s layer) are common, with alpha often at an edge case."""
+    pool = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    parts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    r = len(parts)
+    alpha = draw(st.one_of(st.sampled_from([0.0, 1.0 - 1.0 / r, 1.0 - 2.0 ** -53, 1.0]),
+                           st.floats(0.0, 1.0)))
+    return parts, alpha, draw(st.permutations(parts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=parts_and_alpha())
+@example(case=([1, 6, 3], 1.0 - 2.0 ** -53, [3, 1, 6]))
+@example(case=([2, 2, 2], 2.0 / 3.0, [2, 2, 2]))
+@example(case=([4, 4, 1, 1], 1.0, [1, 4, 1, 4]))
+def test_multipartite_spectrum_matches_dense_solve(case):
+    parts, alpha, shuffled = case
+    cf = spectrum_complete_multipartite(parts, alpha)
+    assert cf.n == sum(parts)
+    dense = eigenvalues_only(alpha_matrix(complete_multipartite(parts), alpha))
+    assert np.max(np.abs(cf.expand() - dense)) <= 1e-9
+    again = spectrum_complete_multipartite(shuffled, alpha)
+    assert ([(v.hex(), m) for v, m in again.values_with_multiplicity]
+            == [(v.hex(), m) for v, m in cf.values_with_multiplicity])
 
 
 def test_multipartite_radius_degenerate_point():
@@ -165,9 +192,11 @@ def test_equal_values_share_one_pair():
     cf = spectrum_complete(4, 1.0)
     assert cf.values_with_multiplicity == ((3.0, 4),)
     assert np.array_equal(cf.expand(), [3.0, 3.0, 3.0, 3.0])
-    # next to a pole the secular root can round to the pole value itself
-    cf = spectrum_complete_multipartite([1, 6, 3], 0.9999999999999999)
+    # next to a pole a quotient eigenvalue can lie within ulps of the pole value
+    a = 0.9999999999999999
+    cf = spectrum_complete_multipartite([1, 6, 3], a)
     values = [v for v, _ in cf.values_with_multiplicity]
     assert len(set(values)) == len(values)
     assert cf.n == 10
-    assert dict(cf.values_with_multiplicity)[6.999999999999999] == 3
+    dense = eigenvalues_only(alpha_matrix(complete_multipartite([1, 6, 3]), a))
+    assert np.max(np.abs(cf.expand() - dense)) <= 1e-9
