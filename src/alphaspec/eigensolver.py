@@ -48,15 +48,19 @@ class EigenPair:
     vector: np.ndarray
 
 
-def _check_square_symmetric(mat) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
+def _check_square_symmetric(mat, stack: bool = False) -> np.ndarray:
+    """mat as float64, checked: one (n, n) matrix or, with stack, a (b, n, n) stack
+    (one matrix passes as a stack of one), finite and exactly symmetric."""
+    a = np.asarray(mat, dtype=np.float64)
+    if stack and a.ndim == 2:
+        a = a[np.newaxis]
+    if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2]:
+        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ParameterError("matrix has NaN or infinite entries")
-    if mat.size and not np.array_equal(mat, mat.T):
+    if not (a == a.mT).all():
         raise ParameterError("matrix is not exactly symmetric")
-    return mat
+    return a
 
 
 def _lapack(solver, mat: np.ndarray):
@@ -263,13 +267,4 @@ def eigvalsh_batch(mats) -> np.ndarray:
     Every matrix must be finite and exactly symmetric, as in the single-matrix
     solvers. Used by the enumeration scans.
     """
-    a = np.asarray(mats, dtype=np.float64)
-    if a.ndim == 2:
-        a = a[np.newaxis]
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ParameterError(f"expected shape (b, n, n), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ParameterError("batch has NaN or infinite entries")
-    if not np.array_equal(a, a.transpose(0, 2, 1)):
-        raise ParameterError("batch holds a matrix that is not exactly symmetric")
-    return _checked_eigvalsh(a)
+    return _checked_eigvalsh(_check_square_symmetric(mats, stack=True))

@@ -10,7 +10,8 @@ falls when an edge is added, so no other member can tie. Each descent step is
 one stacked LAPACK eigenvalue call. Ties are grouped into isomorphism classes
 exactly: by sorted degrees, then by a backtracking isomorphism test within
 each group. The complete-multipartite class searches integer partitions with
-the closed-form radius instead; distinct partitions are never isomorphic.
+the closed-form radius; complete multipartite graphs, predicted or found, are
+recognized from their vertices' neighbour sets, with no isomorphism search.
 
 A class table, its member count and its edge-maximal members do not depend
 on alpha. verify_turan builds the count and the maximal members once per
@@ -20,6 +21,7 @@ is kept across calls.
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +29,10 @@ import numpy as np
 from .closed_forms import multipartite_radius
 from .combinatorics import (ENUMERATION_MAX_VERTICES, are_isomorphic,
                             clique_edge_masks, complete_multipartite_mask,
-                            set_partitions)
+                            integer_partitions, set_partitions)
 from .eigensolver import alpha_sweep, eigvalsh_batch
 from .errors import CapacityError, ParameterError, SolverError
-from .graphs import (Graph, complete_multipartite, components, edge_order,
-                     is_connected, split, turan, turan_part_sizes)
+from .graphs import Graph, complete_multipartite, is_connected, turan_part_sizes
 from .matrices import _blend, check_alpha
 
 ENUMERATIVE_MAX_VERTICES = 7
@@ -265,29 +266,25 @@ def _descend_to_ties(maximal_masks: np.ndarray, n: int, alpha: float, tie_tol: f
     return best, np.sort(masks[keep]).tolist(), solved, maximal, screened
 
 
-def _membership_check(masks: list[int], graphs: list[Graph], n: int, r: int,
-                      class_tag: str) -> int | None:
-    """The mask of the first graph outside the class, or None.
+def _membership_check(masks: list[int], n: int, r: int, class_tag: str) -> int | None:
+    """The least of the masks outside the enumerative class, or None."""
+    arr = np.array(masks, dtype=np.int64)
+    outside = arr[~_in_class(arr, n, r, class_tag)]
+    return int(outside.min()) if outside.size else None
 
-    The enumerative classes test all masks with _in_class and report the
-    least offending mask; the partition search tests graph by graph in the
-    order given.
+
+def _multipartite_parts(g: Graph) -> tuple[int, ...] | None:
+    """g's part sizes, descending, when g is complete multipartite, else None.
+
+    Each vertex of a complete multipartite graph is adjacent to exactly the
+    vertices outside its part, so the part holding neighbour set N has n - |N|
+    vertices. Conversely, vertices sharing N are pairwise nonadjacent (u in N
+    would put u in N(u)), so n - |N| of them fill the complement of N.
     """
-    if class_tag != "complete_multipartite":
-        arr = np.array(masks, dtype=np.int64)
-        outside = arr[~_in_class(arr, n, r, class_tag)]
-        return int(outside.min()) if outside.size else None
-    for g in graphs:
-        parts = sorted((len(vs) for _, vs in _cocomponents(g)), reverse=True)
-        if not (len(parts) <= max(r, 1)
-                and are_isomorphic(g, complete_multipartite(parts))):
-            return g.edge_mask()
-    return None
-
-
-def _cocomponents(g: Graph):
-    comp = Graph(g.n, tuple(p for p in edge_order(g.n) if not g.has_edge(*p)))
-    return components(comp)
+    classes = Counter(g.adjacency_bits)
+    if any(count != g.n - nbrs.bit_count() for nbrs, count in classes.items()):
+        return None
+    return tuple(sorted(classes.values(), reverse=True))
 
 
 def _dedupe_isomorphic(graphs: list[Graph]) -> list[Graph]:
@@ -332,7 +329,6 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
                 f"partition search limited to n <= {PARTITION_MAX_VERTICES}, got n={n}")
         if a == 1.0:
             raise ParameterError("partition search needs alpha < 1")
-        from .combinatorics import integer_partitions
         best = -np.inf
         near: list[tuple[tuple[int, ...], float]] = []
         examined = 0
@@ -344,17 +340,18 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
                 near = [(p, v) for p, v in near if v >= best - tie_tol]
             if val >= best - tie_tol:
                 near.append((parts, val))
-        graphs = [complete_multipartite(p) for p, _ in near]
-        masks = sorted(g.edge_mask() for g in graphs)
-        reps = graphs  # distinct partitions are never isomorphic
+        reps = [complete_multipartite(p) for p, _ in near]  # never isomorphic to each other
+        masks = sorted(g.edge_mask() for g in reps)
         solved = maximal = screened = 0
+        bad = [g for g in reps
+               if (parts := _multipartite_parts(g)) is None or len(parts) > max(r, 1)]
+        outside = bad[0].edge_mask() if bad else None
     else:
         examined, maximal_masks = _members or _enumerative_members(n, r, class_tag)
         best, masks, solved, maximal, screened = _descend_to_ties(
             maximal_masks, n, a, tie_tol)
-        graphs = [Graph.from_edge_mask(n, m) for m in masks]
-        reps = _dedupe_isomorphic(graphs)
-    outside = _membership_check(masks, graphs, n, r, class_tag)
+        reps = _dedupe_isomorphic([Graph.from_edge_mask(n, m) for m in masks])
+        outside = _membership_check(masks, n, r, class_tag)
     if outside is not None:
         raise SolverError("scan produced a maximizer outside the class",
                           n=n, r=r, alpha=a, mask=outside)
@@ -472,17 +469,15 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
         else:
             if a < boundary:
                 regime = "turan"
-                expected = turan(n, r)
-                expected_radius = multipartite_radius(turan_part_sizes(n, r), a)
+                parts = turan_part_sizes(n, r)
             else:
                 regime = "split"
-                expected = split(n, r - 1)
-                expected_radius = multipartite_radius(
-                    [1] * (r - 1) + [n - r + 1], a)
+                parts = (n - r + 1,) + (1,) * (r - 1)
+            expected_radius = multipartite_radius(parts, a)
             if abs(res.max_radius - expected_radius) > 1e-8:
                 problems.append(
                     f"max {res.max_radius!r} differs from closed form {expected_radius!r}")
-            bad = [g for g in res.maximizer_reps if not are_isomorphic(g, expected)]
+            bad = [g for g in res.maximizer_reps if _multipartite_parts(g) != parts]
             if bad:
                 problems.append(
                     f"{len(bad)} maximizer class(es) differ from the predicted graph")

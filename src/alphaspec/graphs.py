@@ -7,6 +7,7 @@ deterministic everywhere downstream.
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,18 +35,27 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 0:
+        try:
+            n = operator.index(self.n)
+        except TypeError as exc:
+            raise ParameterError(f"vertex count {self.n!r} is not an integer") from exc
+        if n < 0:
             raise ParameterError("vertex count must be nonnegative")
+        object.__setattr__(self, "n", n)
         seen = set()
         norm = []
         for e in self.edges:
-            u, v = e
+            try:
+                u, v = e
+                u, v = operator.index(u), operator.index(v)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"edge {e!r} is not a pair of integer vertices") from exc
             if u == v:
                 raise ParameterError(f"self loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if not (0 <= u < v < self.n):
-                raise ParameterError(f"edge {e!r} out of range for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ParameterError(f"edge {e!r} out of range for n={n}")
             if (u, v) in seen:
                 raise ParameterError(f"duplicate edge {(u, v)!r}")
             seen.add((u, v))
@@ -216,16 +226,10 @@ def complete_multipartite(sizes) -> Graph:
     sizes = tuple(int(s) for s in sizes)
     _require(len(sizes) >= 1 and all(s >= 1 for s in sizes),
              "complete multipartite needs part sizes >= 1")
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    n = bounds[-1]
-    parts = [range(bounds[i], bounds[i + 1]) for i in range(len(sizes))]
-    edges = []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            edges.extend((u, v) for u in parts[i] for v in parts[j])
-    return Graph(n, tuple(edges))
+    bounds = tuple(itertools.accumulate(sizes, initial=0))
+    parts = [range(lo, hi) for lo, hi in itertools.pairwise(bounds)]
+    edges = tuple((u, v) for p, q in itertools.combinations(parts, 2) for u in p for v in q)
+    return Graph(bounds[-1], edges)
 
 
 def turan_part_sizes(n: int, r: int) -> tuple[int, ...]:

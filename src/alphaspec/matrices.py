@@ -119,7 +119,12 @@ def matrix_to_json(mat: np.ndarray) -> str:
 
 
 def matrix_from_json(text: str) -> np.ndarray:
-    doc = json.loads(text)
-    n = int(doc["n"])
-    mat = np.array(doc["rows"], dtype=np.float64).reshape(n, n)
-    return mat
+    """Read matrix_to_json's format back as a float64 (n, n) array."""
+    try:
+        doc = json.loads(text)
+        n, rows = int(doc["n"]), np.array(doc["rows"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ParameterError(f'matrix JSON needs integer "n" and numeric "rows": {exc!r}') from exc
+    if n < 0 or rows.size != n * n:
+        raise DimensionError(f"rows hold {rows.size} entries, not an n x n matrix for n={n}")
+    return rows.reshape(n, n)

@@ -169,8 +169,7 @@ def test_verify_turan_cli(capsys):
 
 def test_verify_turan_counterexample_exit(capsys, monkeypatch):
     import alphaspec.extremal as extremal
-    from alphaspec import path
-    monkeypatch.setattr(extremal, "turan", lambda n, r: path(n))
+    monkeypatch.setattr(extremal, "turan_part_sizes", lambda n, r: (n - 1, 1))
     rc, out, _ = run(capsys, "verify-turan", "--n", "5", "--r", "2",
                      "--alphas", "0.1")
     assert rc == 2

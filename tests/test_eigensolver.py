@@ -71,6 +71,10 @@ def test_rejects_asymmetric_and_nonsquare():
         full_spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ParameterError):
         full_spectrum(np.zeros((2, 3)))
+    for bad in (np.zeros(()), np.zeros(3), np.zeros((1, 2, 2))):  # a stack of one is not one matrix
+        for solve in (decompose, eigenvalues_only):
+            with pytest.raises(ParameterError):
+                solve(bad)
 
 
 def test_sign_convention_deterministic(rng):
@@ -262,8 +266,9 @@ def test_eigvalsh_batch_shapes():
     assert one.shape == (1, 2)
     empty = eigvalsh_batch(np.zeros((0, 3, 3)))
     assert empty.shape == (0, 3)
-    with pytest.raises(ParameterError):
-        eigvalsh_batch(np.zeros((2, 3, 4)))
+    for bad in (np.zeros((2, 3, 4)), np.zeros(()), np.zeros(3), np.zeros((1, 1, 2, 2))):
+        with pytest.raises(ParameterError):
+            eigvalsh_batch(bad)
 
 
 def test_eigvalsh_batch_rejects_asymmetric():

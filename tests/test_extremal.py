@@ -13,10 +13,10 @@ from alphaspec import (CapacityError, Graph, ParameterError, SolverError,
                        enumerate_graphs, is_clique_free, maximize_over_class,
                        monotonicity_check, multipartite_radius, path, star,
                        turan, verify_turan)
-from alphaspec.combinatorics import (clique_edge_masks,
+from alphaspec.combinatorics import (are_isomorphic, clique_edge_masks,
                                      complete_multipartite_mask, has_clique,
                                      integer_partitions, set_partitions)
-from alphaspec.graphs import split, turan_part_sizes
+from alphaspec.graphs import components, edge_order, split, turan_part_sizes
 from conftest import rand_connected
 
 
@@ -111,7 +111,7 @@ def test_verify_turan_boundary_tie():
 
 
 def test_verify_turan_flags_wrong_prediction(monkeypatch):
-    monkeypatch.setattr(extremal, "turan", lambda n, r: path(n))
+    monkeypatch.setattr(extremal, "turan_part_sizes", lambda n, r: (n - 1, 1))
     out = verify_turan(5, 2, [0.1])
     assert not out.ok
     assert out.checks[0].status == "counterexample"
@@ -671,3 +671,72 @@ def test_table_count_n8_spans_many_slices():
     table = extremal._class_table(8, 2, "clique_free")
     assert table.size > extremal.TABLE_CHUNK_WORDS
     assert extremal._table_count(table) == TRIANGLE_FREE[8]
+
+
+# ---------------------------------------------------- complete multipartite parts
+
+def _cocomponent_parts(g):
+    """The former re-check, kept as the oracle: the part sizes are the
+    complement's component sizes, and g must be isomorphic to the complete
+    multipartite graph with those parts."""
+    co = Graph(g.n, tuple(p for p in edge_order(g.n) if not g.has_edge(*p)))
+    parts = tuple(sorted((len(vs) for _, vs in components(co)), reverse=True))
+    return parts if are_isomorphic(g, complete_multipartite(parts)) else None
+
+
+def test_multipartite_parts_match_cocomponent_oracle_on_every_small_graph():
+    checked = 0
+    for n in range(1, 7):
+        for m in range(1 << (n * (n - 1) // 2)):
+            g = Graph.from_edge_mask(n, m)
+            assert extremal._multipartite_parts(g) == _cocomponent_parts(g), (n, m)
+            checked += 1
+    assert checked == 33867
+    # every vertex of P4 has its own neighbour set, as in K4
+    assert extremal._multipartite_parts(path(4)) is None
+
+
+def test_multipartite_parts_match_cocomponent_oracle_on_relabeled_graphs(rng):
+    for _ in range(300):
+        n = int(rng.integers(2, 41))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        parts = np.diff(np.concatenate(([0], cuts, [n])))
+        g = complete_multipartite(parts)
+        perm = rng.permutation(n)
+        edges = [(int(perm[u]), int(perm[v])) for u, v in g.edges]
+        shuffled = Graph(n, tuple(edges))
+        assert extremal._multipartite_parts(shuffled) == tuple(sorted(parts, reverse=True))
+        assert _cocomponent_parts(shuffled) == tuple(sorted(parts, reverse=True))
+        if edges:
+            # None, unless the deleted edge joined two parts of size one
+            del edges[int(rng.integers(len(edges)))]
+            cut = Graph(n, tuple(edges))
+            assert extremal._multipartite_parts(cut) == _cocomponent_parts(cut)
+
+
+@pytest.mark.parametrize("n,r,ties", [(50, 2, 25), (24, 3, 48)])
+def test_partition_search_ties_every_r_part_partition_at_the_boundary(n, r, ties):
+    a = 1.0 - 1.0 / r
+    res = maximize_over_class(n, r, a, "complete_multipartite")
+    want = sorted(p for p in integer_partitions(n, r) if len(p) == r)
+    assert len(want) == ties
+    assert sorted(extremal._multipartite_parts(g) for g in res.maximizer_reps) == want
+    assert len(res.maximizers) == ties
+    assert res.max_radius == pytest.approx(a * n, abs=1e-9)
+    for g in res.maximizer_reps:
+        top = float(eigenvalues_only(alpha_matrix(g, a))[0])
+        assert top == pytest.approx(res.max_radius, abs=1e-9)
+
+
+@pytest.mark.parametrize("swap", [
+    pytest.param({(4, 2): path(6), (3, 3): cycle(6)}, id="not-multipartite"),
+    pytest.param({(4, 2): complete_multipartite((2, 2, 2)), (3, 3): cycle(6)}, id="too-many-parts"),
+])
+def test_partition_recheck_reports_first_graph_outside_the_class(monkeypatch, swap):
+    # at alpha = 1/2 the ties come in search order (5, 1), (4, 2), (3, 3)
+    build = extremal.complete_multipartite
+    monkeypatch.setattr(extremal, "complete_multipartite",
+                        lambda parts: swap.get(tuple(parts)) or build(parts))
+    with pytest.raises(SolverError, match="outside the class") as info:
+        maximize_over_class(6, 2, 0.5, "complete_multipartite")
+    assert info.value.diagnostics["mask"] == swap[(4, 2)].edge_mask()

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaspec import (Graph, GraphFormatError, complete, complete_bipartite,
+from alphaspec import (Graph, GraphFormatError, ParameterError, complete, complete_bipartite,
                        complete_multipartite, components, cycle,
                        disjoint_union, edgeless, format_edge_list,
                        is_connected, join, parse_edge_list, path, split, star,
@@ -23,6 +24,28 @@ def test_graph_normalizes_and_validates():
         Graph(4, ((0, 2), (2, 0)))
     with pytest.raises(ValueError):
         Graph(-1, ())
+
+
+@pytest.mark.parametrize("n,edges", [
+    (3, ((0.5, 2),)),  # a float endpoint passed the range test before
+    (3, ((0, 1, 2),)),
+    (3, ((0,),)),
+    (3, (5,)),
+    (3, ((0, "1"),)),
+    (3.0, ()),
+    ("3", ()),
+])
+def test_graph_rejects_non_integer_input(n, edges):
+    with pytest.raises(ParameterError):
+        Graph(n, edges)
+
+
+def test_graph_stores_numpy_integers_as_ints():
+    g = Graph(np.int64(3), ((np.int32(2), np.int64(0)),))
+    assert g == Graph(3, ((0, 2),))
+    assert type(g.n) is int
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert g.degrees == (1, 0, 1)
 
 
 def test_degrees_and_neighbors():

@@ -91,6 +91,23 @@ def test_matrix_json_roundtrip():
     assert doc["n"] == 4 and len(doc["rows"]) == 4
 
 
+@pytest.mark.parametrize("text,error", [
+    ("{}", ParameterError),
+    ('{"n": 2}', ParameterError),
+    ("[1, 2]", ParameterError),
+    ("not json", ParameterError),
+    ('{"n": "two", "rows": []}', ParameterError),
+    ('{"n": 2, "rows": [[1, "a"], [2, 3]]}', ParameterError),
+    ('{"n": 2, "rows": [[1, 2], [3]]}', ParameterError),
+    ('{"n": 2, "rows": [[1, 2], [3, 4], [5, 6]]}', DimensionError),
+    ('{"n": 2, "rows": [1, 2]}', DimensionError),
+    ('{"n": -1, "rows": [1]}', DimensionError),
+])
+def test_matrix_from_json_rejects_bad_documents(text, error):
+    with pytest.raises(error):
+        matrix_from_json(text)
+
+
 def test_alpha_half_is_half_signless():
     g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)))
     assert np.array_equal(alpha_matrix(g, 0.5) * 2.0, assemble(g, "signless"))
