@@ -7,18 +7,20 @@ from a few seed masks over the subset lattice of the edge bits. Only its
 edge-maximal members are solved; the scan then walks down from the tied ones
 one deleted edge at a time: for alpha in [0, 1] the radius of M(alpha) never
 falls when an edge is added, so no other member can tie. Each descent step is
-one stacked LAPACK eigenvalue call. Ties are grouped into isomorphism classes
-exactly: by sorted degrees, then by a backtracking isomorphism test within
-each group. The complete-multipartite class searches integer partitions with
+one stacked LAPACK eigenvalue call. Ties stay edge masks, grouped into
+isomorphism classes exactly by their orbits under relabeling, with one Graph
+per class. The complete-multipartite class searches integer partitions with
 the closed-form radius; complete multipartite graphs, predicted or found, are
 recognized from their vertices' neighbour sets, with no isomorphism search.
 
 A class table, its member count and its edge-maximal members do not depend
 on alpha. verify_turan builds the count and the maximal members once per
-call, just before its first scan, and scans every alpha from them; nothing
-is kept across calls.
+call, just before its first scan, and scans every alpha from them. Only the
+relabeling table of each n is kept across calls (0.8 MiB at n = 7).
 """
 
+import functools
+import itertools
 import math
 import time
 from collections import Counter
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import multipartite_radius
-from .combinatorics import (ENUMERATION_MAX_VERTICES, are_isomorphic,
+from .combinatorics import (ENUMERATION_MAX_VERTICES,
                             clique_edge_masks, complete_multipartite_mask,
                             integer_partitions, set_partitions)
 from .eigensolver import alpha_sweep, eigvalsh_batch
@@ -287,16 +289,31 @@ def _multipartite_parts(g: Graph) -> tuple[int, ...] | None:
     return tuple(sorted(classes.values(), reverse=True))
 
 
-def _dedupe_isomorphic(graphs: list[Graph]) -> list[Graph]:
-    """One graph per isomorphism class, in order of first appearance; only
-    graphs with the same sorted degrees are tested for isomorphism."""
-    buckets: dict[tuple[int, ...], list[Graph]] = {}
+@functools.cache
+def _relabelings(n: int) -> np.ndarray:
+    """Read-only (n!, C(n,2)) int64 table: entry (p, b) is the bit that edge
+    bit b maps to under the p-th permutation of range(n)."""
+    us, vs = _edge_arrays(n)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.intp).reshape(math.factorial(n), n)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[us, vs] = index[vs, us] = np.arange(us.size)
+    images = np.int64(1) << index.ravel()[perms[:, us] * n + perms[:, vs]]
+    images.setflags(write=False)
+    return images
+
+
+def _dedupe_isomorphic(masks: list[int], n: int) -> list[int]:
+    """One mask per isomorphism class, in order of first appearance: keep the
+    first remaining mask, drop its orbit. Relabeling sends distinct edges to
+    distinct bits, so the sum of an edge set's images is their OR."""
+    images = _relabelings(n)
+    rest = np.asarray(masks, dtype=np.int64)
     reps = []
-    for g in graphs:
-        bucket = buckets.setdefault(tuple(sorted(g.degrees)), [])
-        if not any(are_isomorphic(g, rep) for rep in bucket):
-            bucket.append(g)
-            reps.append(g)
+    while rest.size:
+        reps.append(int(rest[0]))
+        orbit = images[:, (reps[-1] >> np.arange(images.shape[1])) & 1 == 1].sum(axis=1)
+        rest = rest[~np.isin(rest, orbit)]
     return reps
 
 
@@ -350,7 +367,7 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
         examined, maximal_masks = _members or _enumerative_members(n, r, class_tag)
         best, masks, solved, maximal, screened = _descend_to_ties(
             maximal_masks, n, a, tie_tol)
-        reps = _dedupe_isomorphic([Graph.from_edge_mask(n, m) for m in masks])
+        reps = [Graph.from_edge_mask(n, m) for m in _dedupe_isomorphic(masks, n)]
         outside = _membership_check(masks, n, r, class_tag)
     if outside is not None:
         raise SolverError("scan produced a maximizer outside the class",

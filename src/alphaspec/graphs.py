@@ -42,9 +42,13 @@ class Graph:
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
         object.__setattr__(self, "n", n)
+        try:
+            edges = tuple(self.edges)
+        except TypeError as exc:
+            raise ParameterError(f"edges {self.edges!r} is not a collection of pairs") from exc
         seen = set()
         norm = []
-        for e in self.edges:
+        for e in edges:
             try:
                 u, v = e
                 u, v = operator.index(u), operator.index(v)

@@ -106,10 +106,13 @@ def vertex_score(g: Graph, alpha: float, x, v: int) -> float:
 
 
 def matrix_to_json(mat: np.ndarray) -> str:
-    """Serialize a square matrix as JSON {"n": ..., "rows": [...]}, 17 significant digits."""
+    """Serialize a square matrix as JSON {"n": ..., "rows": [...]}, 17 significant
+    digits. JSON has no NaN or infinity, so a non-finite entry raises."""
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ParameterError("matrix has NaN or infinite entries, which JSON cannot hold")
     n = mat.shape[0]
     rows = ",\n    ".join(
         "[" + ", ".join(format(x, ".17g") for x in row) + "]" for row in mat)

@@ -368,6 +368,32 @@ def _isomorphism_class_count(n, masks):
     return int(np.unique(relabeled.min(axis=1)).size)
 
 
+def _bucket_dedupe(masks, n):
+    """The dedupe the scan used before relabeling orbits: graphs bucketed by
+    sorted degrees, each tested with are_isomorphic against the earlier
+    representatives of its bucket. The representatives' masks, in order of
+    first appearance."""
+    buckets = {}
+    reps = []
+    for m in masks:
+        g = Graph.from_edge_mask(n, int(m))
+        bucket = buckets.setdefault(tuple(sorted(g.degrees)), [])
+        if not any(are_isomorphic(g, rep) for rep in bucket):
+            bucket.append(g)
+            reps.append(int(m))
+    return reps
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_dedupe_matches_bucket_oracle_on_every_graph(n):
+    masks = list(range(1 << (n * (n - 1) // 2)))
+    reps = extremal._dedupe_isomorphic(masks, n)
+    assert reps == _bucket_dedupe(masks, n)
+    assert len(reps) == _isomorphism_class_count(n, masks)
+    np.random.default_rng(n).shuffle(masks)
+    assert extremal._dedupe_isomorphic(masks, n) == _bucket_dedupe(masks, n)
+
+
 def _assert_matches_brute_force(n, r, alpha, class_tag):
     best, ties, size = _brute_force(n, r, alpha, class_tag)
     res = maximize_over_class(n, r, alpha, class_tag)
@@ -376,6 +402,8 @@ def _assert_matches_brute_force(n, r, alpha, class_tag):
     assert res.maximizers == ties, case
     assert res.candidates_examined == size, case
     assert len(res.maximizer_reps) == _isomorphism_class_count(n, ties), case
+    # test_descent_matches_brute_force runs (6, 5, 1.0, "r_chromatic"): 5,318 ties, 33 classes
+    assert [g.edge_mask() for g in res.maximizer_reps] == _bucket_dedupe(ties, n), case
 
 
 @pytest.mark.parametrize("class_tag", ["clique_free", "r_chromatic"])

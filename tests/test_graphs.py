@@ -34,6 +34,8 @@ def test_graph_normalizes_and_validates():
     (3, ((0, "1"),)),
     (3.0, ()),
     ("3", ()),
+    (3, None),
+    (3, 5),
 ])
 def test_graph_rejects_non_integer_input(n, edges):
     with pytest.raises(ParameterError):

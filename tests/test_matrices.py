@@ -86,9 +86,19 @@ def test_vector_shape_checked():
 def test_matrix_json_roundtrip():
     m = alpha_matrix(path(4), 1 / 3)
     back = matrix_from_json(matrix_to_json(m))
-    assert np.array_equal(m, back)
+    assert back.tobytes() == m.tobytes()
+    edge = np.array([[5e-324, -1.7976931348623157e308], [0.1, -2 / 3]])
+    assert matrix_from_json(matrix_to_json(edge)).tobytes() == edge.tobytes()
     doc = json.loads(matrix_to_json(m))
     assert doc["n"] == 4 and len(doc["rows"]) == 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_to_json_rejects_non_finite(bad):
+    m = alpha_matrix(path(3), 0.5)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ParameterError):
+        matrix_to_json(m)
 
 
 @pytest.mark.parametrize("text,error", [
