@@ -9,16 +9,16 @@ reported but never counted as violations.
 What the records use of a graph but not of alpha (degrees, 2-walks, per-edge
 degrees, diameter, and the adjacency spectrum, maxcut and chromatic number
 when they are not passed in) is computed once per Graph instance and kept on
-it, so a sweep over alpha pays for it once. The per-k families
-(degree_majorization_k*, weyl_mix_*_k*) are evaluated as float64 arrays with
-the same elementwise arithmetic as the scalar records, so every value is the
-one a record-by-record evaluation gives.
+it, so a sweep over alpha pays for it once. Records are evaluated on Python
+floats in the loop that builds them: at the orders most reports see, a numpy
+call costs more than the arithmetic it does. Python floats are IEEE doubles,
+and each value takes the operations of a float64 array evaluation in the same
+order, so its bits are the same.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -51,12 +51,13 @@ class BoundRecord:
 
     def __init__(self, name, side, target, bound_value, spectral_value, slack, holds,
                  strict=False, informational=False, skipped=False, note=""):
-        # one dict update in place of the generated frozen __init__'s
+        # item stores in place of the generated frozen __init__'s
         # object.__setattr__ per field: a report builds dozens of records
-        self.__dict__.update(
-            name=name, side=side, target=target, bound_value=bound_value,
-            spectral_value=spectral_value, slack=slack, holds=holds, strict=strict,
-            informational=informational, skipped=skipped, note=note)
+        d = self.__dict__
+        d["name"], d["side"], d["target"] = name, side, target
+        d["bound_value"], d["spectral_value"], d["slack"] = bound_value, spectral_value, slack
+        d["holds"], d["strict"], d["informational"] = holds, strict, informational
+        d["skipped"], d["note"] = skipped, note
 
     def to_json_obj(self) -> dict:
         # asdict's result, without its per-field deepcopy: every field is a
@@ -87,16 +88,6 @@ def _record(name: str, side: str, target: str, bound: float, spectral: float,
                        strict, informational, False, note)
 
 
-def _family(names: tuple, side: str, targets: tuple, bound: np.ndarray,
-            spectral: np.ndarray) -> list[BoundRecord]:
-    """_record over arrays of bounds and spectral values ("upper_on" or
-    "lower_on"): the same float64 operations, elementwise."""
-    slack = bound - spectral if side == "upper_on" else spectral - bound
-    holds = slack >= -(HOLDS_REL_TOL * np.maximum(1.0, np.abs(bound)))
-    return list(map(BoundRecord, names, repeat(side), targets, bound.tolist(),
-                    spectral.tolist(), slack.tolist(), holds.tolist()))
-
-
 def _skipped(name: str, side: str, target: str, note: str) -> BoundRecord:
     return BoundRecord(name, side, target, None, None, None, True,
                        skipped=True, note=note)
@@ -113,8 +104,17 @@ def _cached(g: Graph, key: str, compute):
 
 class _GraphFacts:
     """The numbers the records use of a graph with n >= 1 that do not depend
-    on alpha. Integer sums stay Python ints, so every bound is computed from
-    the same values, in the same order, as from g.degrees directly."""
+    on alpha, as Python numbers. Integer sums stay Python ints, so every
+    bound is computed from the same values, in the same order, as from
+    g.degrees directly.
+
+    walk_ranges and neighbour_ranges hold, per distinct degree d, the least
+    and greatest 2-walk count and neighbour degree of a vertex of degree d.
+    At fixed d the row sum a*d + (1-a)*w/d, the walk square a*d*d + (1-a)*w
+    and the oriented edge value a*d + (1-a)*d' never fall as w or d' grows
+    (their coefficients are >= 0 and IEEE rounding is monotone), so their
+    extremes over all vertices or oriented edges are extremes over these.
+    """
 
     def __init__(self, g: Graph):
         deg = g.degrees
@@ -122,11 +122,19 @@ class _GraphFacts:
         self.regular = g.is_regular()
         self.deg2 = sum(d * d for d in deg)
         self.rms_degree = math.sqrt(self.deg2 / g.n)
-        self.deg = np.array(deg, dtype=np.float64)
-        self.deg_sorted = np.sort(self.deg)[::-1]
-        self.walks = np.array(walk2_counts(g), dtype=np.float64)
-        ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-        self.edge_deg_u, self.edge_deg_v = self.deg[ends[:, 0]], self.deg[ends[:, 1]]
+        self.deg_sorted = [float(d) for d in sorted(deg, reverse=True)]
+        self.walk_ranges = _ranges(zip(deg, walk2_counts(g)))
+        ends = {(deg[u], deg[v]) for u, v in g.edges}
+        self.neighbour_ranges = _ranges(ends | {(dv, du) for du, dv in ends})
+
+
+def _ranges(pairs) -> tuple[tuple[int, int, int], ...]:
+    """(d, least x, greatest x) for each distinct d among the (d, x) pairs."""
+    least, greatest = {}, {}
+    for d, x in sorted(pairs, reverse=True):
+        greatest.setdefault(d, x)
+        least[d] = x
+    return tuple((d, least[d], greatest[d]) for d in greatest)
 
 
 def _facts(g: Graph) -> _GraphFacts:
@@ -177,16 +185,27 @@ def radius_bounds(g: Graph, alpha: float, s: Spectrum,
         mu = _cached(g, "adjacency_spectrum", _adjacency_values)
     f = _facts(g)
     targets, majorization, lower_names, upper_names = _k_labels(g.n)
-    lam = s.values
-    lam1 = float(lam[0])
+    lam = s.values.tolist()
+    mu = mu.tolist()
+    lam1 = lam[0]
     big, small = f.big, f.small
-    out = _family(majorization, "upper_on", targets, f.deg_sorted, lam)
-    mixed_mu = (1.0 - a) * mu
-    weyl_upper = a * big + mixed_mu
+    out = []
+    for name, target, bound, value in zip(majorization, targets, f.deg_sorted, lam):
+        slack = bound - value
+        out.append(BoundRecord(name, "upper_on", target, bound, value, slack,
+                               slack >= -(HOLDS_REL_TOL * max(1.0, abs(bound)))))
+    low, high = a * small, a * big
     # interleaved: weyl_mix_lower_k1, weyl_mix_upper_k1, weyl_mix_lower_k2, ...
-    out.extend(chain.from_iterable(zip(
-        _family(lower_names, "lower_on", targets, a * small + mixed_mu, lam),
-        _family(upper_names, "upper_on", targets, weyl_upper, lam))))
+    for lower, upper, target, m, value in zip(lower_names, upper_names, targets, mu, lam):
+        mixed = (1.0 - a) * m
+        bound = low + mixed
+        slack = value - bound
+        out.append(BoundRecord(lower, "lower_on", target, bound, value, slack,
+                               slack >= -(HOLDS_REL_TOL * max(1.0, abs(bound)))))
+        bound = high + mixed
+        slack = bound - value
+        out.append(BoundRecord(upper, "upper_on", target, bound, value, slack,
+                               slack >= -(HOLDS_REL_TOL * max(1.0, abs(bound)))))
     if g.m >= 1:
         disc = a * a * (big + 1.0) ** 2 + 4.0 * big * (1.0 - 2.0 * a)
         star_bound = 0.5 * (a * (big + 1.0) + math.sqrt(disc))
@@ -213,41 +232,40 @@ def radius_bounds(g: Graph, alpha: float, s: Spectrum,
         out.append(_skipped("lovasz_star_lower", "lower_on", "lambda_1", "no edges"))
     out.append(_record("adjacency_lower", "lower_on", "lambda_1", mu[0], lam1))
     out.append(_record("adjacency_mix_upper", "upper_on", "lambda_1",
-                       weyl_upper[0], lam1,
+                       high + (1.0 - a) * mu[0], lam1,
                        note="equality iff some component is max_degree-regular"))
     out.append(_record("mean_degree_lower", "lower_on", "lambda_1",
                        2.0 * g.m / g.n, lam1))
     out.append(_record("rms_degree_lower", "lower_on", "lambda_1", f.rms_degree, lam1))
     if small >= 1:
-        rowsums = a * f.deg + (1.0 - a) * f.walks / f.deg
         out.append(_record("rowsum_similarity_upper", "upper_on", "lambda_1",
-                           rowsums.max(), lam1,
-                           note="equality for regular graphs at every alpha"))
+                           max(a * d + (1.0 - a) * most / d for d, _, most in f.walk_ranges),
+                           lam1, note="equality for regular graphs at every alpha"))
         out.append(_record("rowsum_similarity_lower", "lower_on", "lambda_1",
-                           rowsums.min(), lam1))
+                           min(a * d + (1.0 - a) * least / d
+                               for d, least, _ in f.walk_ranges), lam1))
     else:
         why = "isolated vertex present" if g.m else "no edges"
         out.append(_skipped("rowsum_similarity_upper", "upper_on", "lambda_1", why))
         out.append(_skipped("rowsum_similarity_lower", "lower_on", "lambda_1", why))
     if g.m >= 1:
         # each edge in both orientations: a*deg(u) + (1-a)*deg(v) and the reverse
-        du, dv = f.edge_deg_u, f.edge_deg_v
-        forward = a * du + (1.0 - a) * dv
-        backward = a * dv + (1.0 - a) * du
         out.append(_record("edge_degree_upper", "upper_on", "lambda_1",
-                           max(forward.max(), backward.max()), lam1,
-                           note="orientation maximum taken on each edge"))
+                           max(a * d + (1.0 - a) * most for d, _, most in f.neighbour_ranges),
+                           lam1, note="orientation maximum taken on each edge"))
         out.append(_record("edge_degree_lower", "lower_on", "lambda_1",
-                           min(forward.min(), backward.min()), lam1,
-                           note="orientation minimum taken on each edge"))
+                           min(a * d + (1.0 - a) * least
+                               for d, least, _ in f.neighbour_ranges),
+                           lam1, note="orientation minimum taken on each edge"))
     else:
         out.append(_skipped("edge_degree_upper", "upper_on", "lambda_1", "no edges"))
         out.append(_skipped("edge_degree_lower", "lower_on", "lambda_1", "no edges"))
-    squares = a * f.deg * f.deg + (1.0 - a) * f.walks
     out.append(_record("walk_square_upper", "upper_on", "lambda_1_squared",
-                       squares.max(), lam1 * lam1))
+                       max(a * d * d + (1.0 - a) * most for d, _, most in f.walk_ranges),
+                       lam1 * lam1))
     out.append(_record("walk_square_lower", "lower_on", "lambda_1_squared",
-                       squares.min(), lam1 * lam1))
+                       min(a * d * d + (1.0 - a) * least for d, least, _ in f.walk_ranges),
+                       lam1 * lam1))
     return out
 
 

@@ -3,11 +3,13 @@
 Every solve runs LAPACK through numpy.linalg: eigh for values with vectors,
 eigvalsh for values only, stacked over a batch for many small matrices. The
 guards around it are the package's own: inputs must be finite and exactly
-symmetric, every solve, batched or not, is verified against trace
-identities, and eigenvector signs are normalized so results are
-deterministic.
+symmetric, every solve, batched or not, is verified against the trace and
+squared-trace identities, and eigenvector signs are normalized so results
+are deterministic. A single matrix is checked with four scalar sums, a stack
+with one reduction per sum over the whole batch.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,45 +84,25 @@ def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(peak < 0.0, -1.0, 1.0)
 
 
-def _trace_identities(mats: np.ndarray, values: np.ndarray):
-    """Per matrix of a (b, n, n) stack with its (b, n) eigenvalues: whether the
-    trace and the squared-trace identity fail, each to a relative 1e-10, and
-    the four sums compared (trace, eigensum, trace2, eigensum2)."""
+def _identity_check(mat: np.ndarray, values: np.ndarray):
+    """Raise SolverError unless the n eigenvalues of one (n, n) matrix meet its
+    trace and then its squared-trace identity, each to a relative 1e-10."""
+    tr, s1 = float(mat.trace()), float(values.sum())
+    if abs(s1 - tr) > 1e-10 * max(1.0, float(np.abs(values).sum())):
+        raise SolverError("trace identity violated", trace=tr, eigensum=s1)
+    tr2, s2 = float(np.vdot(mat, mat)), float(values @ values)
+    if abs(s2 - tr2) > 1e-10 * max(1.0, tr2):
+        raise SolverError("squared trace identity violated", trace2=tr2, eigensum2=s2)
+
+
+def _trace_identities(mats: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per matrix of a (b, n, n) stack with its (b, n) eigenvalues: whether
+    either identity _identity_check tests fails, one reduction per sum."""
     tr = mats.diagonal(0, 1, 2).sum(axis=1)
     tr2 = np.einsum("bij,bij->b", mats, mats)
-    s1 = values.sum(axis=1)
-    s2 = (values * values).sum(axis=1)
-    bad1 = np.abs(s1 - tr) > 1e-10 * np.maximum(1.0, np.abs(values).sum(axis=1))
-    bad2 = np.abs(s2 - tr2) > 1e-10 * np.maximum(1.0, tr2)
-    return bad1, bad2, (tr, s1, tr2, s2)
-
-
-def _trace_check(mats: np.ndarray, values: np.ndarray):
-    """Raise SolverError for the first matrix of the stack that breaks the
-    trace identity, else for the first that breaks the squared one."""
-    bad1, bad2, (tr, s1, tr2, s2) = _trace_identities(mats, values)
-    if bad1.any():
-        i = np.argmax(bad1)
-        raise SolverError("trace identity violated",
-                          trace=float(tr[i]), eigensum=float(s1[i]))
-    if bad2.any():
-        i = np.argmax(bad2)
-        raise SolverError("squared trace identity violated",
-                          trace2=float(tr2[i]), eigensum2=float(s2[i]))
-
-
-def _checked_eigvalsh(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues, descending, of a validated (b, n, n) stack, every matrix's
-    values verified against the trace identities. LAPACK's values-only path
-    can return wrong values (seen for entries near 1e-160); the matrices that
-    fail are solved again through eigh, and only a second failure raises."""
-    values = _lapack(np.linalg.eigvalsh, mats)[:, ::-1].copy()
-    bad1, bad2, _ = _trace_identities(mats, values)
-    redo = bad1 | bad2
-    if redo.any():
-        values[redo] = _lapack(np.linalg.eigh, mats[redo])[0][:, ::-1]
-        _trace_check(mats[redo], values[redo])
-    return values
+    bad1 = np.abs(values.sum(axis=1) - tr) > 1e-10 * np.maximum(1.0, np.abs(values).sum(axis=1))
+    bad2 = np.abs((values * values).sum(axis=1) - tr2) > 1e-10 * np.maximum(1.0, tr2)
+    return bad1 | bad2
 
 
 def decompose(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -133,13 +115,23 @@ def decompose(mat) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = _lapack(np.linalg.eigh, mat)
     values = values[::-1].copy()
     vectors = _normalize_signs(vectors[:, ::-1])
-    _trace_check(mat[np.newaxis], values[np.newaxis])
+    _identity_check(mat, values)
     return values, vectors
 
 
 def eigenvalues_only(mat) -> np.ndarray:
-    """Eigenvalues sorted descending, without eigenvectors."""
-    return _checked_eigvalsh(_check_square_symmetric(mat)[np.newaxis])[0]
+    """Eigenvalues sorted descending, without eigenvectors. LAPACK's
+    values-only path can return wrong values (seen for entries near 1e-160):
+    values that fail the trace identities are solved again through eigh, and
+    only a second failure raises."""
+    mat = _check_square_symmetric(mat)
+    values = _lapack(np.linalg.eigvalsh, mat)[::-1].copy()
+    try:
+        _identity_check(mat, values)
+    except SolverError:
+        values = _lapack(np.linalg.eigh, mat)[0][::-1].copy()
+        _identity_check(mat, values)
+    return values
 
 
 def full_spectrum(mat, tol: float = 1e-12) -> Spectrum:
@@ -149,7 +141,8 @@ def full_spectrum(mat, tol: float = 1e-12) -> Spectrum:
     if n == 0:
         return Spectrum(values, 0.0)
     resid = np.asarray(mat) @ vectors - vectors * values[np.newaxis, :]
-    residual = float(np.sqrt((resid * resid).sum(axis=0)).max())
+    # the largest column norm; sqrt is correctly rounded, so monotone
+    residual = math.sqrt((resid * resid).sum(axis=0).max())
     scale = max(1.0, float(values[0] - values[-1]))
     if residual > tol * scale:
         raise SolverError("residual exceeds tolerance",
@@ -265,6 +258,15 @@ def eigvalsh_batch(mats) -> np.ndarray:
 
     mats: array of shape (b, n, n), or one (n, n) matrix as a batch of one.
     Every matrix must be finite and exactly symmetric, as in the single-matrix
-    solvers. Used by the enumeration scans.
+    solvers, and every matrix's values are checked as eigenvalues_only checks
+    them, the matrices that fail solved again through eigh. Used by the
+    enumeration scans.
     """
-    return _checked_eigvalsh(_check_square_symmetric(mats, stack=True))
+    mats = _check_square_symmetric(mats, stack=True)
+    values = _lapack(np.linalg.eigvalsh, mats)[:, ::-1].copy()
+    redo = np.flatnonzero(_trace_identities(mats, values))
+    if redo.size:
+        values[redo] = _lapack(np.linalg.eigh, mats[redo])[0][:, ::-1]
+        for i in redo:
+            _identity_check(mats[i], values[i])
+    return values

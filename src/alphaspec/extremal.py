@@ -259,9 +259,9 @@ def _descend_to_ties(maximal_masks: np.ndarray, n: int, alpha: float, tie_tol: f
         tied = level[near]
         found_masks.append(tied)
         found_tops.append(tops[near])
-        # every tied graph with one of its edges deleted
-        children = np.unique((tied[:, np.newaxis] ^ bit)[(tied[:, np.newaxis] & bit) != 0])
-        level = children[~seen[children]]
+        # every tied graph with one of its edges deleted, each unseen one once
+        children = np.sort((tied[:, np.newaxis] ^ bit)[(tied[:, np.newaxis] & bit) != 0])
+        level = children[(np.diff(children, prepend=-1) != 0) & ~seen[children]]
     masks = np.concatenate(found_masks)
     # a later level may have raised best past some earlier ties
     keep = np.concatenate(found_tops) >= best - tie_tol
@@ -312,8 +312,9 @@ def _dedupe_isomorphic(masks: list[int], n: int) -> list[int]:
     reps = []
     while rest.size:
         reps.append(int(rest[0]))
-        orbit = images[:, (reps[-1] >> np.arange(images.shape[1])) & 1 == 1].sum(axis=1)
-        rest = rest[~np.isin(rest, orbit)]
+        orbit = np.sort(images[:, (reps[-1] >> np.arange(images.shape[1])) & 1 == 1].sum(axis=1))
+        at = np.minimum(np.searchsorted(orbit, rest), orbit.size - 1)
+        rest = rest[orbit[at] != rest]
     return reps
 
 

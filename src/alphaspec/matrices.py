@@ -105,9 +105,16 @@ def vertex_score(g: Graph, alpha: float, x, v: int) -> float:
     return float(a * g.degrees[v] * x[v] + (1.0 - a) * sum(x[w] for w in g.neighbors[v]))
 
 
+def _json_number(x: float) -> str:
+    # "-0" would load back as the integer 0, so negative zero keeps its point
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
+
+
 def matrix_to_json(mat: np.ndarray) -> str:
     """Serialize a square matrix as JSON {"n": ..., "rows": [...]}, 17 significant
-    digits. JSON has no NaN or infinity, so a non-finite entry raises."""
+    digits, so every finite entry loads back bit for bit. JSON has no NaN or
+    infinity, so a non-finite entry raises."""
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
@@ -115,7 +122,7 @@ def matrix_to_json(mat: np.ndarray) -> str:
         raise ParameterError("matrix has NaN or infinite entries, which JSON cannot hold")
     n = mat.shape[0]
     rows = ",\n    ".join(
-        "[" + ", ".join(format(x, ".17g") for x in row) + "]" for row in mat)
+        "[" + ", ".join(map(_json_number, row)) + "]" for row in mat)
     if n == 0:
         return '{"n": 0, "rows": []}'
     return '{"n": %d, "rows": [\n    %s\n]}' % (n, rows)

@@ -82,6 +82,30 @@ def test_maxcut_known_values(rng):
         assert maxcut(g) == best
 
 
+def _edge_pass_maxcut(g):
+    """One pass per edge over every side of the first n - 1 vertices: the
+    per-edge evaluation the popcount form replaced."""
+    if g.n <= 1 or g.m == 0:
+        return 0
+    masks = np.arange(1 << (g.n - 1), dtype=np.int64)
+    cuts = np.zeros(masks.shape, dtype=np.int32)
+    for u, v in g.edges:
+        cuts += ((masks >> u ^ masks >> v) & 1).astype(np.int32)
+    return int(cuts.max())
+
+
+def test_maxcut_matches_edge_pass_oracle():
+    for n in range(6):  # every labeled graph on n <= 5 vertices
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = Graph.from_edge_mask(n, mask)
+            assert maxcut(g) == _edge_pass_maxcut(g), (n, mask)
+    rng = np.random.default_rng(20261019)
+    for n in (6, 10, 12, 14):
+        for _ in range(8):
+            g = rand_graph(rng, n, float(rng.uniform(0.1, 0.9)))
+            assert maxcut(g) == _edge_pass_maxcut(g), (n, g.edges)
+
+
 def test_diameter():
     assert diameter(path(5)) == 4
     assert diameter(cycle(6)) == 3

@@ -303,6 +303,75 @@ def test_identity_failure_after_fallback_raises(monkeypatch):
         eigvalsh_batch(np.stack([np.eye(5), m]))
 
 
+@pytest.mark.parametrize("patched", ["eigh", "eigvalsh"])
+@pytest.mark.parametrize("shift,message,keys", [
+    ([1.0, 0.0, 0.0, 0.0, 0.0], "trace identity violated", {"trace", "eigensum"}),
+    ([0.5, -0.5, 0.0, 0.0, 0.0], "squared trace identity violated",
+     {"trace2", "eigensum2"}),
+])
+def test_single_matrix_check_reports_shifted_values(monkeypatch, patched, shift,
+                                                    message, keys):
+    """Shifted values break the trace identity; a sum-preserving shift breaks
+    only the squared one. eigenvalues_only retries through eigh, so its check
+    raises only when eigh is wrong too."""
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+    shift = np.array(shift)
+    if patched == "eigh":
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] + shift, eigh(a)[1]))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + shift)
+    m = alpha_matrix(cycle(5), 0.3)
+    solvers = (decompose, full_spectrum, eigenvalues_only) if patched == "eigh" else ()
+    for solve in solvers:
+        with pytest.raises(SolverError, match=f"^{message}") as info:
+            solve(m)
+        assert set(info.value.diagnostics) == keys
+    if patched == "eigvalsh":
+        assert np.allclose(eigenvalues_only(m), eigvalsh(m)[::-1], atol=1e-12)
+
+
+# ---------------------------------------------------------------- oracle
+# The parent formulas of the single-matrix solve, kept as written: the scalar
+# identity check and the residual's sqrt of the largest squared norm must
+# leave every value, vector and residual bit for bit as they were.
+
+def _oracle_decompose(mat):
+    values, vectors = np.linalg.eigh(mat)
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1]
+    rows = np.argmax(np.abs(vectors), axis=0)
+    peak = vectors[rows, np.arange(vectors.shape[1])]
+    return values, vectors * np.where(peak < 0.0, -1.0, 1.0)
+
+
+def _oracle_residual(mat, values, vectors):
+    resid = mat @ vectors - vectors * values[np.newaxis, :]
+    return float(np.sqrt((resid * resid).sum(axis=0)).max())
+
+
+def _solve_corpus():
+    for n in range(1, 6):  # every labeled graph on 1 <= n <= 5 vertices
+        for mask in range(1 << (n * (n - 1) // 2)):
+            yield Graph.from_edge_mask(n, mask)
+    rng = np.random.default_rng(20261019)
+    yield rand_graph(rng, 40, 0.5)
+    yield rand_graph(rng, 120, 0.5)
+
+
+def test_single_matrix_solves_match_parent_formulas():
+    for g in _solve_corpus():
+        for a in (0.0, 0.3, 0.5, 1.0 - 2.0 ** -53, 1.0):
+            m = alpha_matrix(g, a)
+            want_values, want_vectors = _oracle_decompose(m)
+            values, vectors = decompose(m)
+            assert values.tobytes() == want_values.tobytes(), (g.n, g.edges, a)
+            assert vectors.tobytes() == want_vectors.tobytes(), (g.n, g.edges, a)
+            s = full_spectrum(m)
+            assert s.values.tobytes() == want_values.tobytes()
+            assert s.residual_norm == _oracle_residual(m, want_values, want_vectors)
+            only = np.linalg.eigvalsh(m)[::-1]
+            assert eigenvalues_only(m).tobytes() == only.tobytes(), (g.n, g.edges, a)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_rejects_non_finite_entries(bad):
     m = np.array([[1.0, bad], [bad, 1.0]])

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -768,3 +772,20 @@ def test_partition_recheck_reports_first_graph_outside_the_class(monkeypatch, sw
     with pytest.raises(SolverError, match="outside the class") as info:
         maximize_over_class(6, 2, 0.5, "complete_multipartite")
     assert info.value.diagnostics["mask"] == swap[(4, 2)].edge_mask()
+
+
+def test_scans_do_not_import_numpy_ma():
+    """numpy 2.4's np.unique imports numpy.ma on first use (np.isin calls it),
+    10-27 ms in a fresh process; a scan uses neither."""
+    code = ("import sys\n"
+            "from alphaspec import cli, extremal\n"
+            "assert cli.main(['verify-turan', '--n', '7', '--r', '2',"
+            " '--alphas', '0.3,0.5,0.8']) == 0\n"
+            "extremal.maximize_over_class(7, 2, 0.5, 'r_chromatic')\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -93,6 +93,15 @@ def test_matrix_json_roundtrip():
     assert doc["n"] == 4 and len(doc["rows"]) == 4
 
 
+def test_matrix_json_keeps_negative_zero():
+    m = np.array([[-0.0, 0.0], [1.0, -2.5]])
+    text = matrix_to_json(m)
+    assert text == '{"n": 2, "rows": [\n    [-0.0, 0],\n    [1, -2.5]\n]}'
+    back = matrix_from_json(text)
+    assert np.signbit(back).tolist() == [[True, False], [False, True]]
+    assert back.tobytes() == m.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_matrix_to_json_rejects_non_finite(bad):
     m = alpha_matrix(path(3), 0.5)
@@ -125,8 +134,7 @@ def test_alpha_half_is_half_signless():
 
 # ---------------------------------------------------------------- oracle
 # Reference: one loop per kind writing each entry. assemble must match it byte
-# for byte, so a -0.0, which matrix_to_json prints as "-0", is caught where ==
-# is blind.
+# for byte, so a -0.0 is caught where == is blind.
 
 def _loop_assemble(g, kind, alpha=None):
     n = g.n
