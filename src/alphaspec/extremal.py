@@ -2,8 +2,8 @@
 spectral-radius maximizers of M(alpha), and compare against the predicted
 extremal families.
 
-Each enumerative class is a packed bitset over all 2^C(n,2) edge masks, closed
-from a few seed masks over the subset lattice of the edge bits. Only its
+Each enumerative class is seed masks plus a closure direction (_mask_class),
+closed over the edge-bit subset lattice into a 2^C(n,2)-bit table. Only its
 edge-maximal members are solved; the scan then walks down from the tied ones
 one deleted edge at a time: for alpha in [0, 1] the radius of M(alpha) never
 falls when an edge is added, so no other member can tie. Each descent step is
@@ -15,7 +15,7 @@ recognized from their vertices' neighbour sets, with no isomorphism search.
 
 A class table, its member count and its edge-maximal members do not depend
 on alpha. verify_turan builds the count and the maximal members once per
-call, just before its first scan, and scans every alpha from them. Only the
+call, once every alpha is checked, and scans every alpha from them. Only the
 relabeling table of each n is kept across calls (0.8 MiB at n = 7).
 """
 
@@ -73,14 +73,14 @@ def _edge_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def class_member_masks(n: int, r: int, class_tag: str) -> np.ndarray:
     """Edge bitmasks of every labeled class member on n vertices, ascending."""
-    return _table_masks(_class_table(n, r, class_tag))
+    return _table_masks(_class_table(n, *_mask_class(n, r, class_tag)))
 
 
-def _class_table(n: int, r: int, class_tag: str) -> np.ndarray:
-    """The class as a packed bitset: bit m & 63 of uint64 word m >> 6 is set
-    when edge mask m is a member. clique_free is the complement of the
-    up-closure of the (r+1)-clique masks, r_chromatic the down-closure of the
-    complete multipartite masks with min(r, n) blocks."""
+def _mask_class(n: int, r: int, class_tag: str) -> tuple[np.ndarray, bool]:
+    """An enumerative class as int64 seed masks and a closure direction up:
+    clique_free is the complement of the up-closure of the (r+1)-clique masks,
+    r_chromatic the down-closure of the complete multipartite masks with
+    min(r, n) blocks, which are its edge-maximal members."""
     if class_tag not in ("clique_free", "r_chromatic"):
         raise ParameterError(f"no mask enumeration for class {class_tag!r}")
     if r < 1:
@@ -90,10 +90,17 @@ def _class_table(n: int, r: int, class_tag: str) -> np.ndarray:
     if n > ENUMERATION_MAX_VERTICES:
         raise CapacityError(
             f"class tables limited to n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
-    n_edges = n * (n - 1) // 2
     up = class_tag == "clique_free"
-    seeds = np.array(clique_edge_masks(n, r + 1) if up else _multipartite_masks(n, r),
-                     dtype=np.int64)
+    seeds = (clique_edge_masks(n, r + 1) if up else
+             [complete_multipartite_mask(n, blocks) for blocks in set_partitions(n, r)
+              if len(blocks) == min(r, n)])
+    return np.array(seeds, dtype=np.int64), up
+
+
+def _class_table(n: int, seeds: np.ndarray, up: bool) -> np.ndarray:
+    """The class as a packed bitset: bit m & 63 of uint64 word m >> 6 is set
+    when edge mask m is a member."""
+    n_edges = n * (n - 1) // 2
     words = np.zeros(max(1, (1 << n_edges) >> 6), dtype=np.uint64)
     np.bitwise_or.at(words, seeds >> 6, np.uint64(1) << (seeds & 63).astype(np.uint64))
     _lattice_or(words, words, n_edges, up)
@@ -104,18 +111,20 @@ def _class_table(n: int, r: int, class_tag: str) -> np.ndarray:
 
 
 def _lattice_or(src: np.ndarray, dst: np.ndarray, n_edges: int, up: bool) -> None:
-    """For each edge bit b, one whole-table pass that ORs into dst the bit in
-    src of each mask's b-subset (up) or b-superset (down). With src is dst
-    this is the up- or down-closure."""
-    for b in range(n_edges):
-        if b < 6:
+    """For each edge bit b, one pass that ORs into dst the bit in src of each
+    mask's b-subset (up) or b-superset (down). With src is dst this is the up-
+    or down-closure, in any pass order, so the passes for b < 6, which stay
+    within a word, run per slice of TABLE_CHUNK_WORDS words."""
+    for start in range(0, src.size, TABLE_CHUNK_WORDS):
+        part, out = (a[start:start + TABLE_CHUNK_WORDS] for a in (src, dst))
+        for b in range(min(6, n_edges)):
             # low marks the positions j in a word with bit b of j clear: 0x5555...
             s = 1 << b
             low, shift = np.uint64(((1 << 64) - 1) // ((1 << s) + 1)), np.uint64(s)
-            dst |= ((src & low) << shift) if up else ((src >> shift) & low)
-        else:
-            src2, dst2 = (a.reshape(-1, 2, 1 << (b - 6)) for a in (src, dst))
-            dst2[:, int(up)] |= src2[:, int(not up)]
+            out |= ((part & low) << shift) if up else ((part >> shift) & low)
+    for b in range(6, n_edges):
+        src2, dst2 = (a.reshape(-1, 2, 1 << (b - 6)) for a in (src, dst))
+        dst2[:, int(up)] |= src2[:, int(not up)]
 
 
 def _table_chunks(words: np.ndarray):
@@ -137,29 +146,14 @@ def _table_count(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum(dtype=np.int64))
 
 
-def _in_class(masks: np.ndarray, n: int, r: int, class_tag: str) -> np.ndarray:
-    """Which of the int64 masks lie in the enumerative class: clique_free when
-    no (r+1)-clique mask lies inside the mask, r_chromatic when the mask lies
-    under some complete multipartite mask with min(r, n) blocks. One pass over
-    the masks per clique or partition, never a (masks x cliques) array."""
-    if class_tag == "clique_free":
-        inside = np.ones(masks.shape, dtype=bool)
-        for cm in clique_edge_masks(n, r + 1):
-            inside &= (masks & cm) != cm
-        return inside
-    inside = np.zeros(masks.shape, dtype=bool)
-    for pm in _multipartite_masks(n, r):
-        inside |= (masks & pm) == masks
-    return inside
-
-
-def _multipartite_masks(n: int, r: int) -> np.ndarray:
-    """Masks of every labeled complete multipartite graph on n vertices with
-    exactly min(r, n) parts: the edge-maximal r-colorable graphs."""
-    k = min(r, n)
-    return np.array([complete_multipartite_mask(n, blocks)
-                     for blocks in set_partitions(n, r) if len(blocks) == k],
-                    dtype=np.int64)
+def _in_class(masks: np.ndarray, seeds: np.ndarray, up: bool) -> np.ndarray:
+    """Which of the int64 masks lie in the class of _mask_class: outside the
+    up-closure of the seeds (up), or inside their down-closure. One pass over
+    the masks per seed, never a (masks x seeds) array."""
+    hit = np.zeros(masks.shape, dtype=bool)
+    for seed in seeds:
+        hit |= (masks & seed) == (seed if up else masks)
+    return hit != up
 
 
 def _batch_alpha_matrices(masks: np.ndarray, n: int, alpha: float,
@@ -178,7 +172,8 @@ def _maximal_member_masks(table: np.ndarray, n: int) -> np.ndarray:
     ascending: the members none of whose one-edge supersets is a member."""
     blocked = np.zeros_like(table)
     _lattice_or(table, blocked, n * (n - 1) // 2, up=False)
-    return _table_masks(table & ~blocked)
+    np.invert(blocked, out=blocked)
+    return _table_masks(np.bitwise_and(blocked, table, out=blocked))
 
 
 def _radius_upper_bounds(mats: np.ndarray, alpha: float) -> np.ndarray:
@@ -200,14 +195,16 @@ def _radius_upper_bounds(mats: np.ndarray, alpha: float) -> np.ndarray:
     return np.divide(y, x, out=np.zeros_like(y), where=x > 0).max(axis=1)
 
 
-def _enumerative_members(n: int, r: int, class_tag: str) -> tuple[int, np.ndarray]:
-    """What a scan needs of an enumerative class at every alpha: its member
-    count and its ascending edge-maximal member masks."""
+def _enumerative_members(n: int, r: int, class_tag: str
+                         ) -> tuple[tuple[np.ndarray, bool], int, np.ndarray]:
+    """What a scan needs of an enumerative class at every alpha: its
+    _mask_class pair, member count and ascending edge-maximal masks."""
     if n > ENUMERATIVE_MAX_VERTICES:
         raise CapacityError(
             f"enumerative scan limited to n <= {ENUMERATIVE_MAX_VERTICES}, got n={n}")
-    table = _class_table(n, r, class_tag)
-    return _table_count(table), _maximal_member_masks(table, n)
+    mask_class = _mask_class(n, r, class_tag)
+    table = _class_table(n, *mask_class)
+    return mask_class, _table_count(table), _maximal_member_masks(table, n)
 
 
 def _descend_to_ties(maximal_masks: np.ndarray, n: int, alpha: float, tie_tol: float
@@ -268,10 +265,10 @@ def _descend_to_ties(maximal_masks: np.ndarray, n: int, alpha: float, tie_tol: f
     return best, np.sort(masks[keep]).tolist(), solved, maximal, screened
 
 
-def _membership_check(masks: list[int], n: int, r: int, class_tag: str) -> int | None:
-    """The least of the masks outside the enumerative class, or None."""
+def _membership_check(masks: list[int], seeds: np.ndarray, up: bool) -> int | None:
+    """The least of the masks outside the class of (seeds, up), or None."""
     arr = np.array(masks, dtype=np.int64)
-    outside = arr[~_in_class(arr, n, r, class_tag)]
+    outside = arr[~_in_class(arr, seeds, up)]
     return int(outside.min()) if outside.size else None
 
 
@@ -321,7 +318,8 @@ def _dedupe_isomorphic(masks: list[int], n: int) -> list[int]:
 def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
                         tie_tol: float = DEFAULT_TIE_TOL,
                         workers: int | None = None, *,
-                        _members: tuple[int, np.ndarray] | None = None) -> ExtremalResult:
+                        _members: tuple[tuple[np.ndarray, bool], int, np.ndarray] | None = None
+                        ) -> ExtremalResult:
     """Exhaustive spectral-radius maximization of M(alpha) over one graph class.
 
     clique_free(r): graphs with no complete subgraph on r+1 vertices.
@@ -365,11 +363,11 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
                if (parts := _multipartite_parts(g)) is None or len(parts) > max(r, 1)]
         outside = bad[0].edge_mask() if bad else None
     else:
-        examined, maximal_masks = _members or _enumerative_members(n, r, class_tag)
+        mask_class, examined, maximal_masks = _members or _enumerative_members(n, r, class_tag)
         best, masks, solved, maximal, screened = _descend_to_ties(
             maximal_masks, n, a, tie_tol)
         reps = [Graph.from_edge_mask(n, m) for m in _dedupe_isomorphic(masks, n)]
-        outside = _membership_check(masks, n, r, class_tag)
+        outside = _membership_check(masks, *mask_class)
     if outside is not None:
         raise SolverError("scan produced a maximizer outside the class",
                           n=n, r=r, alpha=a, mask=outside)
@@ -447,26 +445,23 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
     must be the unique maximizer up to isomorphism; above it, the split graph
     (clique on r-1 vertices joined to the rest); within 1e-12 of the boundary
     every complete r-partite graph must tie at (1 - 1/r) * n. workers has no
-    effect, as in maximize_over_class. The class is built once, before the
-    first scan, and its time counts in the first check's elapsed_ms.
+    effect, as in maximize_over_class. Every alpha is checked before the class
+    is built, once, and its time counts in the first check's elapsed_ms.
     """
     if not 2 <= r:
         raise ParameterError("need r >= 2")
     if n < r + 1:
         raise ParameterError("need n > r so the class constraint binds")
     tie_tol = _check_tie_tol(tie_tol)
+    checked = [check_alpha(alpha) for alpha in alphas]  # all valid before any build
+    if 1.0 in checked:
+        raise ParameterError("verification needs alpha < 1")
     checks = []
     boundary = 1.0 - 1.0 / r
-    members = expect_masks = None  # built once, when the first alpha needs them
-    for alpha in alphas:
-        a = check_alpha(alpha)
-        if a == 1.0:
-            raise ParameterError("verification needs alpha < 1")
-        build_s = 0.0
-        if members is None:
-            t0 = time.perf_counter()
-            members = _enumerative_members(n, r, "clique_free")
-            build_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    members = _enumerative_members(n, r, "clique_free") if checked else None
+    build_s = time.perf_counter() - t0
+    for a in checked:
         res = maximize_over_class(n, r, a, "clique_free", tie_tol=tie_tol,
                                   workers=workers, _members=members)
         problems = []
@@ -476,8 +471,7 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
             if abs(res.max_radius - expected_radius) > 1e-9:
                 problems.append(
                     f"max {res.max_radius!r} differs from {expected_radius!r}")
-            if expect_masks is None:
-                expect_masks = set(_multipartite_masks(n, r).tolist())
+            expect_masks = set(_mask_class(n, r, "r_chromatic")[0].tolist())
             got_masks = set(res.maximizers)
             if got_masks != expect_masks:
                 missing = sorted(expect_masks - got_masks)[:4]
@@ -513,6 +507,7 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
             elapsed_ms=(build_s + res.elapsed_seconds) * 1000.0,
             detail="; ".join(problems),
         ))
+        build_s = 0.0
     return TuranVerification(n, r, tuple(checks))
 
 

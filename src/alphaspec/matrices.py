@@ -132,9 +132,11 @@ def matrix_from_json(text: str) -> np.ndarray:
     """Read matrix_to_json's format back as a float64 (n, n) array."""
     try:
         doc = json.loads(text)
-        n, rows = int(doc["n"]), np.array(doc["rows"], dtype=np.float64)
+        n, rows = doc["n"], np.array(doc["rows"], dtype=np.float64)
+        if type(n) is not int:  # a JSON integer, not a bool, a float or a string
+            raise TypeError(f"n is {n!r}")
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ParameterError(f'matrix JSON needs integer "n" and numeric "rows": {exc!r}') from exc
-    if n < 0 or rows.size != n * n:
-        raise DimensionError(f"rows hold {rows.size} entries, not an n x n matrix for n={n}")
+    if n < 0 or rows.shape != ((n, n) if n else (0,)):  # n = 0 is written as []
+        raise DimensionError(f"rows have shape {rows.shape}, not an n x n matrix for n={n}")
     return rows.reshape(n, n)

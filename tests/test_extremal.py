@@ -205,6 +205,10 @@ def test_descent_solves_fewer_matrices_than_members():
 # class_member_masks closes a few seed masks over the subset lattice instead
 # and must list the same array.
 
+def _table(n, r, class_tag):
+    return extremal._class_table(n, *extremal._mask_class(n, r, class_tag))
+
+
 def _filtered_members(n, r, class_tag):
     masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
     if class_tag == "clique_free":
@@ -265,7 +269,7 @@ def test_class_counts_match_oeis(class_tag, counts):
     for n in range(8):
         assert extremal.class_member_masks(n, 2, class_tag).size == counts[n], n
     # n=8 never lists the members: count the 32 MiB table in 2 MiB slices
-    table = extremal._class_table(8, 2, class_tag)
+    table = _table(8, 2, class_tag)
     assert sum(int(np.count_nonzero(np.unpackbits(part.view(np.uint8))))
                for part in np.array_split(table, 16)) == counts[8]
 
@@ -285,7 +289,7 @@ def test_class_member_masks_validation():
 
 def _assert_maximal_match_clique_rule(n, r):
     members = extremal.class_member_masks(n, r, "clique_free")
-    got = extremal._maximal_member_masks(extremal._class_table(n, r, "clique_free"), n)
+    got = extremal._maximal_member_masks(_table(n, r, "clique_free"), n)
     assert got.dtype == np.int64, (n, r)
     assert np.array_equal(got, _clique_blocked_maximal(n, r, members)), (n, r)
 
@@ -296,8 +300,9 @@ def test_maximal_members_match_clique_rule(n):
         _assert_maximal_match_clique_rule(n, r)
         # on the r-colorable graphs the same pass finds the complete
         # multipartite ones
-        got = extremal._maximal_member_masks(extremal._class_table(n, r, "r_chromatic"), n)
-        assert np.array_equal(got, np.sort(extremal._multipartite_masks(n, r))), (n, r)
+        seeds, _ = extremal._mask_class(n, r, "r_chromatic")
+        got = extremal._maximal_member_masks(_table(n, r, "r_chromatic"), n)
+        assert np.array_equal(got, np.sort(seeds)), (n, r)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -343,8 +348,10 @@ def test_in_class_matches_graph_tests(n):
     chi = np.array([chromatic_number(g) for g in graphs])
     for r in range(1, n + 2):
         free = np.array([not has_clique(g, r + 1) for g in graphs])
-        assert np.array_equal(extremal._in_class(masks, n, r, "clique_free"), free), r
-        assert np.array_equal(extremal._in_class(masks, n, r, "r_chromatic"), chi <= r), r
+        in_class = {tag: extremal._in_class(masks, *extremal._mask_class(n, r, tag))
+                    for tag in ("clique_free", "r_chromatic")}
+        assert np.array_equal(in_class["clique_free"], free), r
+        assert np.array_equal(in_class["r_chromatic"], chi <= r), r
 
 
 # ---------------------------------------------------------------- oracle
@@ -513,8 +520,7 @@ def _screen_alphas(n, r):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_screened_descent_matches_unscreened(n, class_tag):
     for r in range(1, n + 2):
-        maximal_masks = extremal._maximal_member_masks(
-            extremal._class_table(n, r, class_tag), n)
+        maximal_masks = extremal._maximal_member_masks(_table(n, r, class_tag), n)
         for alpha in _screen_alphas(n, r):
             # with tie_tol = 0 only the slack keeps a tie whose bound rounds low
             for tie_tol in (extremal.DEFAULT_TIE_TOL, 0.0) if n < 7 else (extremal.DEFAULT_TIE_TOL,):
@@ -566,7 +572,7 @@ def test_screened_counts_masks_left_unsolved(monkeypatch, n, r, alpha, class_tag
         return real(mats)
 
     monkeypatch.setattr(extremal, "eigvalsh_batch", spy)
-    table = extremal._class_table(n, r, class_tag)
+    table = _table(n, r, class_tag)
     _unscreened_descend_to_ties(extremal._maximal_member_masks(table, n), n, alpha,
                                 extremal.DEFAULT_TIE_TOL)
     visited = set(np.concatenate(calls).tolist())
@@ -657,18 +663,24 @@ def test_class_built_once_per_call(monkeypatch, capsys):
     calls = []
     real = extremal._class_table
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(n, seeds, up):
+        calls.append((n, seeds.tolist(), up))
+        return real(n, seeds, up)
 
     monkeypatch.setattr(extremal, "_class_table", spy)
     out = verify_turan(6, 2, [0.3, 0.5, 0.8])
     assert out.ok and len(out.checks) == 3
-    assert calls == [(6, 2, "clique_free")]
+    triangles = clique_edge_masks(6, 3)
+    assert calls == [(6, triangles, True)]
+    calls.clear()
+    # the boundary's expected tie set reads the r_chromatic seeds, not a table
+    assert verify_turan(6, 2, [0.5]).ok
+    assert calls == [(6, triangles, True)]
     calls.clear()
     assert verify_turan(6, 2, []).checks == ()
-    with pytest.raises(ParameterError):
-        verify_turan(6, 2, [1.0, 0.3])
+    for alphas in ([1.0, 0.3], [0.3, 1.0], [0.3, 2.0]):
+        with pytest.raises(ParameterError):
+            verify_turan(6, 2, alphas)
     with pytest.raises(CapacityError):
         verify_turan(8, 2, [0.3])
     assert cli.main(["verify-turan", "--n", "8", "--r", "2", "--alphas", "0.3"]) == 65
@@ -687,11 +699,13 @@ def _unsliced_table_masks(words):
 def test_table_slices_match_whole_table(monkeypatch, chunk):
     for n in range(1, 8):
         for class_tag in ("clique_free", "r_chromatic"):
-            table = extremal._class_table(n, 2, class_tag)
+            table = _table(n, 2, class_tag)
             want = _unsliced_table_masks(table)
             want_maximal = extremal._maximal_member_masks(table, n)  # one slice at n <= 7
             with monkeypatch.context() as m:
                 m.setattr(extremal, "TABLE_CHUNK_WORDS", chunk)
+                # the closure's low-bit passes run per slice too
+                assert np.array_equal(_table(n, 2, class_tag), table), (n, class_tag)
                 got = extremal._table_masks(table)
                 assert got.dtype == np.int64 and np.array_equal(got, want), (n, class_tag)
                 assert extremal._table_count(table) == want.size, (n, class_tag)
@@ -700,9 +714,21 @@ def test_table_slices_match_whole_table(monkeypatch, chunk):
 
 def test_table_count_n8_spans_many_slices():
     # 2^22 words, 128 slices of TABLE_CHUNK_WORDS
-    table = extremal._class_table(8, 2, "clique_free")
+    table = _table(8, 2, "clique_free")
     assert table.size > extremal.TABLE_CHUNK_WORDS
     assert extremal._table_count(table) == TRIANGLE_FREE[8]
+
+
+def test_table_build_n8_peak_memory():
+    """The 32 MiB n=8 table is built with temporaries of one slice, not of
+    the whole table: whole-table passes grew the peak RSS by about 65 MiB."""
+    code = ("import resource\n"
+            "from alphaspec import extremal\n"
+            "seeds, up = extremal._mask_class(8, 2, 'clique_free')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "table = extremal._class_table(8, seeds, up)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    assert int(_run_fresh(code)) < 48 * 1024  # KiB on Linux
 
 
 # ---------------------------------------------------- complete multipartite parts
@@ -783,9 +809,14 @@ def test_scans_do_not_import_numpy_ma():
             " '--alphas', '0.3,0.5,0.8']) == 0\n"
             "extremal.maximize_over_class(7, 2, 0.5, 'r_chromatic')\n"
             "print('numpy.ma' in sys.modules)\n")
+    assert _run_fresh(code) == "False"
+
+
+def _run_fresh(code):
+    """The last line code prints when run in a fresh interpreter."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    return done.stdout.splitlines()[-1]

@@ -91,6 +91,8 @@ def test_matrix_json_roundtrip():
     assert matrix_from_json(matrix_to_json(edge)).tobytes() == edge.tobytes()
     doc = json.loads(matrix_to_json(m))
     assert doc["n"] == 4 and len(doc["rows"]) == 4
+    empty = matrix_from_json(matrix_to_json(np.zeros((0, 0))))
+    assert empty.shape == (0, 0) and empty.dtype == np.float64
 
 
 def test_matrix_json_keeps_negative_zero():
@@ -121,6 +123,13 @@ def test_matrix_to_json_rejects_non_finite(bad):
     ('{"n": 2, "rows": [[1, 2], [3, 4], [5, 6]]}', DimensionError),
     ('{"n": 2, "rows": [1, 2]}', DimensionError),
     ('{"n": -1, "rows": [1]}', DimensionError),
+    ('{"n": 2.5, "rows": [[1, 2], [3, 4]]}', ParameterError),
+    ('{"n": 2.0, "rows": [[1, 2], [3, 4]]}', ParameterError),
+    ('{"n": true, "rows": [[1]]}', ParameterError),
+    ('{"n": "2", "rows": [[1, 2], [3, 4]]}', ParameterError),
+    ('{"n": 2, "rows": [1, 2, 3, 4]}', DimensionError),
+    ('{"n": 2, "rows": [[1, 2, 3, 4]]}', DimensionError),
+    ('{"n": 0, "rows": [[]]}', DimensionError),
 ])
 def test_matrix_from_json_rejects_bad_documents(text, error):
     with pytest.raises(error):
