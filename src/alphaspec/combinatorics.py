@@ -5,12 +5,10 @@ Everything here is exhaustive and deterministic; documented size caps raise
 CapacityError instead of silently degrading.
 """
 
-import itertools
-
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .graphs import Graph, edge_order, pairs_mask
+from .graphs import Graph, edge_order
 
 ENUMERATION_MAX_VERTICES = 8
 MAXCUT_MAX_VERTICES = 24
@@ -252,43 +250,6 @@ def enumerate_graphs(n: int, predicate=None, start: int = 0, stop=None):
         g = Graph.from_edge_mask(n, mask)
         if predicate is None or predicate(g):
             yield g
-
-
-def clique_edge_masks(n: int, k: int) -> list[int]:
-    """Edge bitmask of every k-vertex clique on 0..n-1, in subset order."""
-    return [pairs_mask(n, itertools.combinations(sub, 2))
-            for sub in itertools.combinations(range(n), k)]
-
-
-def complete_multipartite_mask(n: int, blocks) -> int:
-    """Edge bitmask of the complete multipartite graph with the given vertex blocks."""
-    block_of = {v: b for b, vs in enumerate(blocks) for v in vs}
-    return pairs_mask(n, ((u, v) for u, v in edge_order(n) if block_of[u] != block_of[v]))
-
-
-def set_partitions(n: int, max_blocks: int):
-    """Partitions of 0..n-1 into at most max_blocks nonempty blocks.
-
-    Deterministic order; blocks are tuples sorted by first element.
-    """
-    if n == 0:
-        yield ()
-        return
-
-    def rec(i: int, blocks: list[list[int]]):
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        if len(blocks) < max_blocks:
-            blocks.append([i])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-
-    yield from rec(0, [])
 
 
 def integer_partitions(n: int, max_parts: int):

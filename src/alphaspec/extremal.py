@@ -9,19 +9,24 @@ one deleted edge at a time: for alpha in [0, 1] the radius of M(alpha) never
 falls when an edge is added, so no other member can tie. Each descent step is
 one stacked LAPACK eigenvalue call. Ties stay edge masks, grouped into
 isomorphism classes exactly by their orbits under relabeling, with one Graph
-per class. The complete-multipartite class searches integer partitions with
-the closed-form radius; complete multipartite graphs, predicted or found, are
-recognized from their vertices' neighbour sets, with no isomorphism search.
+per class. The seeds are such orbits too, of one mask per shape, so one
+(n!, C(n,2)) relabeling table answers both which masks seed a class and which
+ties are isomorphic. The complete-multipartite class searches integer
+partitions with the closed-form radius; complete multipartite graphs,
+predicted or found, are recognized from their vertices' neighbour sets, with
+no isomorphism search.
 
 A class table, its member count and its edge-maximal members do not depend
 on alpha. verify_turan builds the count and the maximal members once per
 call, once every alpha is checked, and scans every alpha from them. Only the
-relabeling table of each n is kept across calls (0.8 MiB at n = 7).
+relabeling table of each n is kept across calls (0.8 MiB at n = 7, 8 MiB at
+n = 8).
 """
 
 import functools
 import itertools
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -29,12 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import multipartite_radius
-from .combinatorics import (ENUMERATION_MAX_VERTICES,
-                            clique_edge_masks, complete_multipartite_mask,
-                            integer_partitions, set_partitions)
+from .combinatorics import ENUMERATION_MAX_VERTICES, integer_partitions
 from .eigensolver import alpha_sweep, eigvalsh_batch
 from .errors import CapacityError, ParameterError, SolverError
-from .graphs import Graph, complete_multipartite, is_connected, turan_part_sizes
+from .graphs import (Graph, complete_multipartite, is_connected, pairs_mask,
+                     turan_part_sizes)
 from .matrices import _blend, check_alpha
 
 ENUMERATIVE_MAX_VERTICES = 7
@@ -77,12 +81,16 @@ def class_member_masks(n: int, r: int, class_tag: str) -> np.ndarray:
 
 
 def _mask_class(n: int, r: int, class_tag: str) -> tuple[np.ndarray, bool]:
-    """An enumerative class as int64 seed masks and a closure direction up:
-    clique_free is the complement of the up-closure of the (r+1)-clique masks,
-    r_chromatic the down-closure of the complete multipartite masks with
-    min(r, n) blocks, which are its edge-maximal members."""
+    """An enumerative class as ascending int64 seed masks and a closure
+    direction up: clique_free is the complement of the up-closure of the
+    (r+1)-clique masks, r_chromatic the down-closure of the complete
+    multipartite masks with min(r, n) parts, which are its edge-maximal
+    members. Each seed set is a union of relabeling orbits: of the clique on
+    vertices 0..r, or of one complete multipartite graph per integer
+    partition of n into min(r, n) parts."""
     if class_tag not in ("clique_free", "r_chromatic"):
         raise ParameterError(f"no mask enumeration for class {class_tag!r}")
+    n, r = _index(n, "vertex count"), _index(r, "class parameter r")
     if r < 1:
         raise ParameterError("class parameter r must be >= 1")
     if n < 0:
@@ -91,10 +99,14 @@ def _mask_class(n: int, r: int, class_tag: str) -> tuple[np.ndarray, bool]:
         raise CapacityError(
             f"class tables limited to n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
     up = class_tag == "clique_free"
-    seeds = (clique_edge_masks(n, r + 1) if up else
-             [complete_multipartite_mask(n, blocks) for blocks in set_partitions(n, r)
-              if len(blocks) == min(r, n)])
-    return np.array(seeds, dtype=np.int64), up
+    if up:  # the clique on vertices 0..r, when it fits
+        shapes = [pairs_mask(n, itertools.combinations(range(r + 1), 2))] if r < n else []
+    else:  # n = 0 has one partition, (), whose graph has mask 0
+        shapes = [complete_multipartite(p).edge_mask() if p else 0
+                  for p in integer_partitions(n, r) if len(p) == min(r, n)]
+    images = np.sort(np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [_orbit(mask, n) for mask in shapes]))
+    return images[np.diff(images, prepend=-1) != 0], up
 
 
 def _class_table(n: int, seeds: np.ndarray, up: bool) -> np.ndarray:
@@ -289,27 +301,39 @@ def _multipartite_parts(g: Graph) -> tuple[int, ...] | None:
 @functools.cache
 def _relabelings(n: int) -> np.ndarray:
     """Read-only (n!, C(n,2)) int64 table: entry (p, b) is the bit that edge
-    bit b maps to under the p-th permutation of range(n)."""
+    bit b maps to under the p-th permutation of range(n). Refused past
+    ENUMERATION_MAX_VERTICES, before allocating: 9! rows take 104 MiB."""
+    if n > ENUMERATION_MAX_VERTICES:
+        raise CapacityError(
+            f"relabeling tables limited to n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
     us, vs = _edge_arrays(n)
+    # below the cap uint8 holds every pair index u * n + v (< 64) and edge
+    # index (< 28), which keeps the n = 8 build's temporaries near 11 MiB
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
-                        dtype=np.intp).reshape(math.factorial(n), n)
-    index = np.zeros((n, n), dtype=np.int64)
+                        dtype=np.uint8).reshape(math.factorial(n), n)
+    index = np.zeros((n, n), dtype=np.uint8)
     index[us, vs] = index[vs, us] = np.arange(us.size)
     images = np.int64(1) << index.ravel()[perms[:, us] * n + perms[:, vs]]
     images.setflags(write=False)
     return images
 
 
-def _dedupe_isomorphic(masks: list[int], n: int) -> list[int]:
-    """One mask per isomorphism class, in order of first appearance: keep the
-    first remaining mask, drop its orbit. Relabeling sends distinct edges to
+def _orbit(mask: int, n: int) -> np.ndarray:
+    """The images of an edge mask under every relabeling of range(n),
+    ascending, one per permutation. Relabeling sends distinct edges to
     distinct bits, so the sum of an edge set's images is their OR."""
     images = _relabelings(n)
+    return np.sort(images[:, (mask >> np.arange(images.shape[1])) & 1 == 1].sum(axis=1))
+
+
+def _dedupe_isomorphic(masks: list[int], n: int) -> list[int]:
+    """One mask per isomorphism class, in order of first appearance: keep the
+    first remaining mask, drop its orbit."""
     rest = np.asarray(masks, dtype=np.int64)
     reps = []
     while rest.size:
         reps.append(int(rest[0]))
-        orbit = np.sort(images[:, (reps[-1] >> np.arange(images.shape[1])) & 1 == 1].sum(axis=1))
+        orbit = _orbit(reps[-1], n)
         at = np.minimum(np.searchsorted(orbit, rest), orbit.size - 1)
         rest = rest[orbit[at] != rest]
     return reps
@@ -330,6 +354,7 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
     this process. tie_tol must be finite and >= 0. _members is the
     _enumerative_members of the class when the caller has built it already.
     """
+    n, r = _index(n, "vertex count"), _index(r, "class parameter r")
     a = check_alpha(alpha)
     tie_tol = _check_tie_tol(tie_tol)
     if class_tag not in CLASS_TAGS:
@@ -377,8 +402,18 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
                           examined, solved, elapsed, maximal, screened)
 
 
+def _index(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ParameterError(f"{name} {value!r} is not an integer") from exc
+
+
 def _check_tie_tol(tie_tol: float) -> float:
-    tie_tol = float(tie_tol)
+    try:
+        tie_tol = float(tie_tol)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"tie_tol {tie_tol!r} is not a number") from exc
     if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
         raise ParameterError(f"tie_tol must be finite and >= 0, got {tie_tol}")
     return tie_tol
@@ -448,6 +483,7 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
     effect, as in maximize_over_class. Every alpha is checked before the class
     is built, once, and its time counts in the first check's elapsed_ms.
     """
+    n, r = _index(n, "vertex count"), _index(r, "class parameter r")
     if not 2 <= r:
         raise ParameterError("need r >= 2")
     if n < r + 1:

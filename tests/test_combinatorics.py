@@ -9,9 +9,7 @@ from alphaspec import (CapacityError, Graph, chromatic_number, complete,
                        complete_bipartite, cycle, diameter, disjoint_union,
                        enumerate_graphs, is_clique_free, max_clique_size,
                        maxcut, path, star, vertex_orbits)
-from alphaspec.combinatorics import (are_isomorphic, clique_edge_masks,
-                                     complete_multipartite_mask,
-                                     integer_partitions, set_partitions)
+from alphaspec.combinatorics import are_isomorphic, integer_partitions
 from conftest import rand_graph
 
 
@@ -259,28 +257,6 @@ def test_dedupe_keeps_relabelings_together():
     res = extremal.maximize_over_class(6, 5, 0.07548770249999999, "clique_free")
     assert len(res.maximizer_reps) == 1
     assert extremal._dedupe_isomorphic([h_mask, p_mask, g_mask], 6) == [h_mask, p_mask]
-
-
-def test_clique_edge_masks_cover_combinations():
-    masks = clique_edge_masks(5, 3)
-    assert len(masks) == 10
-    # every mask has exactly 3 bits
-    assert all(bin(m).count("1") == 3 for m in masks)
-
-
-def test_complete_multipartite_mask():
-    mask = complete_multipartite_mask(4, ((0, 1), (2, 3)))
-    assert Graph.from_edge_mask(4, mask) == Graph(
-        4, ((0, 2), (0, 3), (1, 2), (1, 3)))
-
-
-def test_set_partitions_counts():
-    # Stirling numbers: S(4,1)+S(4,2)=1+7, S(4,<=3)=1+7+6
-    assert len(list(set_partitions(4, 1))) == 1
-    assert len(list(set_partitions(4, 2))) == 8
-    assert len(list(set_partitions(4, 3))) == 14
-    for blocks in set_partitions(4, 2):
-        assert sorted(v for b in blocks for v in b) == [0, 1, 2, 3]
 
 
 def test_integer_partitions():

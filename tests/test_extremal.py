@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,9 @@ from alphaspec import (CapacityError, Graph, ParameterError, SolverError,
                        enumerate_graphs, is_clique_free, maximize_over_class,
                        monotonicity_check, multipartite_radius, path, star,
                        turan, verify_turan)
-from alphaspec.combinatorics import (are_isomorphic, clique_edge_masks,
-                                     complete_multipartite_mask, has_clique,
-                                     integer_partitions, set_partitions)
-from alphaspec.graphs import components, edge_order, split, turan_part_sizes
+from alphaspec.combinatorics import are_isomorphic, has_clique, integer_partitions
+from alphaspec.graphs import (components, edge_order, pairs_mask, split,
+                              turan_part_sizes)
 from conftest import rand_connected
 
 
@@ -92,6 +92,29 @@ def test_capacity_and_validation():
         verify_turan(3, 3, [0.3])
     with pytest.raises(ParameterError):
         verify_turan(5, 2, [1.0])
+
+
+@pytest.mark.parametrize("fn,args,kwargs", [
+    pytest.param(maximize_over_class, (4.0, 2, 0.3, "clique_free"), {}, id="max-n-float"),
+    pytest.param(maximize_over_class, (4.0, 2, 0.3, "r_chromatic"), {}, id="max-n-float-chi"),
+    pytest.param(maximize_over_class, (4, 2.5, 0.3, "clique_free"), {}, id="max-r-float"),
+    pytest.param(maximize_over_class, (4, 2.5, 0.3, "r_chromatic"), {}, id="max-r-float-chi"),
+    # a fractional r reaching the partition search's class re-check raised SolverError
+    pytest.param(maximize_over_class, (5, 2.5, 0.3, "complete_multipartite"), {},
+                 id="max-r-float-partitions"),
+    pytest.param(maximize_over_class, (4, 2, 0.3, "clique_free"), {"tie_tol": "x"},
+                 id="max-tie-tol-str"),
+    pytest.param(maximize_over_class, (4, 2, 0.3, "complete_multipartite"), {"tie_tol": None},
+                 id="max-tie-tol-none"),
+    pytest.param(verify_turan, (5, 2.0, [0.3]), {}, id="turan-r-float"),
+    pytest.param(verify_turan, (5.0, 2, [0.3]), {}, id="turan-n-float"),
+    pytest.param(verify_turan, (5, 2, [0.3]), {"tie_tol": "x"}, id="turan-tie-tol-str"),
+    pytest.param(extremal.class_member_masks, (4, 2.5, "clique_free"), {}, id="members-r-float"),
+    pytest.param(extremal.class_member_masks, ("4", 2, "r_chromatic"), {}, id="members-n-str"),
+])
+def test_non_integer_class_parameters_rejected(fn, args, kwargs):
+    with pytest.raises(ParameterError):
+        fn(*args, **kwargs)
 
 
 def test_verify_turan_both_regimes():
@@ -209,16 +232,105 @@ def _table(n, r, class_tag):
     return extremal._class_table(n, *extremal._mask_class(n, r, class_tag))
 
 
+def _clique_edge_masks(n, k):
+    """Edge bitmask of every k-vertex clique on 0..n-1, in subset order."""
+    return [pairs_mask(n, itertools.combinations(sub, 2))
+            for sub in itertools.combinations(range(n), k)]
+
+
+def _complete_multipartite_mask(n, blocks):
+    """Edge bitmask of the complete multipartite graph with the given vertex blocks."""
+    block_of = {v: b for b, vs in enumerate(blocks) for v in vs}
+    return pairs_mask(n, ((u, v) for u, v in edge_order(n) if block_of[u] != block_of[v]))
+
+
+def _set_partitions(n, max_blocks):
+    """Partitions of 0..n-1 into at most max_blocks nonempty blocks, each a
+    tuple, sorted by first element."""
+    if n == 0:
+        yield ()
+        return
+
+    def rec(i, blocks):
+        if i == n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        if len(blocks) < max_blocks:
+            blocks.append([i])
+            yield from rec(i + 1, blocks)
+            blocks.pop()
+
+    yield from rec(0, [])
+
+
+def _stirling2(n, k):
+    """Partitions of an n-set into exactly k nonempty blocks."""
+    terms = ((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return sum(terms) // math.factorial(k)
+
+
+def test_reference_seed_generators():
+    masks = _clique_edge_masks(5, 3)
+    assert len(masks) == 10 and all(m.bit_count() == 3 for m in masks)
+    assert Graph.from_edge_mask(4, _complete_multipartite_mask(4, ((0, 1), (2, 3)))) == Graph(
+        4, ((0, 2), (0, 3), (1, 2), (1, 3)))
+    # S(4,1) + S(4,2) = 1 + 7, S(4,<=3) = 1 + 7 + 6
+    assert [len(list(_set_partitions(4, k))) for k in (1, 2, 3)] == [1, 8, 14]
+    for blocks in _set_partitions(4, 2):
+        assert sorted(v for b in blocks for v in b) == [0, 1, 2, 3]
+    assert [_stirling2(4, k) for k in range(6)] == [0, 1, 7, 6, 1, 0]
+    assert _stirling2(0, 0) == 1
+
+
+@pytest.mark.parametrize("class_tag", ["clique_free", "r_chromatic"])
+def test_mask_class_seeds_match_brute_force(class_tag):
+    """The seeds, relabeling orbits of one mask per shape, are the masks the
+    generators above list one labeled copy at a time."""
+    for n in range(9):
+        for r in range(1, 9):
+            seeds, up = extremal._mask_class(n, r, class_tag)
+            case = (n, r)
+            if class_tag == "clique_free":
+                want = _clique_edge_masks(n, r + 1)
+                count = math.comb(n, r + 1)
+                assert all(m.bit_count() == math.comb(r + 1, 2) for m in want), case
+            else:
+                want = [_complete_multipartite_mask(n, blocks)
+                        for blocks in _set_partitions(n, r) if len(blocks) == min(r, n)]
+                count = _stirling2(n, min(r, n))
+            assert up == (class_tag == "clique_free"), case
+            assert seeds.dtype == np.int64 and np.all(seeds[1:] > seeds[:-1]), case
+            assert set(seeds.tolist()) == set(want), case
+            assert seeds.size == len(want) == count, case
+    assert extremal._mask_class(0, 3, "r_chromatic")[0].tolist() == [0]
+
+
+def test_relabelings_capped_before_allocating():
+    # 9! rows of C(9,2) int64 bits would take 104 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="n <= 8"):
+            extremal._relabelings(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _filtered_members(n, r, class_tag):
     masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
     if class_tag == "clique_free":
         keep = np.ones(masks.shape, dtype=bool)
-        for cm in clique_edge_masks(n, r + 1):
+        for cm in _clique_edge_masks(n, r + 1):
             keep &= (masks & cm) != cm
     else:
         keep = np.zeros(masks.shape, dtype=bool)
-        for blocks in set_partitions(n, r):
-            pm = complete_multipartite_mask(n, blocks)
+        for blocks in _set_partitions(n, r):
+            pm = _complete_multipartite_mask(n, blocks)
             keep |= (masks & pm) == masks
     return masks[keep]
 
@@ -229,7 +341,7 @@ def _clique_blocked_maximal(n, r, members):
     maximal when its edges and blocked non-edges cover every pair."""
     full = (1 << (n * (n - 1) // 2)) - 1
     blocked = np.zeros(members.shape, dtype=np.int64)
-    for cm in clique_edge_masks(n, r + 1):
+    for cm in _clique_edge_masks(n, r + 1):
         miss = cm & ~members
         blocked |= np.where((miss & (miss - 1)) == 0, miss, 0)
     return members[(members | blocked) == full]
@@ -670,7 +782,7 @@ def test_class_built_once_per_call(monkeypatch, capsys):
     monkeypatch.setattr(extremal, "_class_table", spy)
     out = verify_turan(6, 2, [0.3, 0.5, 0.8])
     assert out.ok and len(out.checks) == 3
-    triangles = clique_edge_masks(6, 3)
+    triangles = sorted(_clique_edge_masks(6, 3))
     assert calls == [(6, triangles, True)]
     calls.clear()
     # the boundary's expected tie set reads the r_chromatic seeds, not a table
@@ -686,6 +798,84 @@ def test_class_built_once_per_call(monkeypatch, capsys):
     assert cli.main(["verify-turan", "--n", "8", "--r", "2", "--alphas", "0.3"]) == 65
     assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
+
+
+# ---------------------------------------------------------------- exact outputs
+# Fields of verify_turan and maximize_over_class that no float rounding can
+# move, pinned: (regime, status, examined, maximal, the edge masks of the
+# maximizer representatives) at alpha = 0.2, 1 - 1/r and 0.9.
+
+PINNED_TURAN = {
+    (3, 2): [("turan", "ok", 7, 3, (3,)), ("tie", "ok", 7, 3, (3,)),
+             ("split", "ok", 7, 3, (3,))],
+    (4, 2): [("turan", "ok", 41, 7, (30,)), ("tie", "ok", 41, 7, (7, 30)),
+             ("split", "ok", 41, 7, (7,))],
+    (4, 3): [("turan", "ok", 63, 6, (31,)), ("tie", "ok", 63, 6, (31,)),
+             ("split", "ok", 63, 6, (31,))],
+    (5, 2): [("turan", "ok", 388, 27, (126,)), ("tie", "ok", 388, 27, (15, 126)),
+             ("split", "ok", 388, 27, (15,))],
+    (5, 3): [("turan", "ok", 958, 25, (495,)), ("tie", "ok", 958, 25, (127, 495)),
+             ("split", "ok", 958, 25, (127,))],
+    (5, 4): [("turan", "ok", 1023, 10, (511,)), ("tie", "ok", 1023, 10, (511,)),
+             ("split", "ok", 1023, 10, (511,))],
+    (6, 2): [("turan", "ok", 5789, 211, (4060,)), ("tie", "ok", 5789, 211, (31, 510, 4060)),
+             ("split", "ok", 5789, 211, (31,))],
+    (6, 3): [("turan", "ok", 27626, 162, (15870,)),
+             ("tie", "ok", 27626, 162, (511, 4063, 15870)),
+             ("split", "ok", 27626, 162, (511,))],
+    (6, 4): [("turan", "ok", 32596, 65, (15871,)), ("tie", "ok", 32596, 65, (4095, 15871)),
+             ("split", "ok", 32596, 65, (4095,))],
+    (6, 5): [("turan", "ok", 32767, 15, (16383,)), ("tie", "ok", 32767, 15, (16383,)),
+             ("split", "ok", 32767, 15, (16383,))],
+}
+
+# the 90 labeled complete 3-partite graphs on 6 vertices, tied at the float below 2/3
+PINNED_TRIPARTITE_6 = (
+    511, 3647, 4063, 4067, 4093, 4094, 12895, 13247, 13285, 13307, 13310, 15487,
+    15775, 15847, 15865, 15870, 15974, 15995, 15997, 16295, 16314, 16317, 16327,
+    16347, 16348, 21663, 21887, 21993, 22007, 22014, 23231, 23391, 23531, 23541,
+    23550, 24234, 24247, 24253, 24427, 24438, 24445, 24523, 24535, 24540, 26335,
+    26431, 26605, 26611, 26622, 26879, 26911, 27119, 27121, 27134, 28398, 28403,
+    28413, 28463, 28466, 28477, 28623, 28627, 28636, 30412, 30423, 30427, 30573,
+    30582, 30587, 30637, 30647, 30650, 31470, 31477, 31483, 31567, 31572, 31579,
+    31663, 31669, 31674, 31982, 31991, 31993, 32111, 32118, 32121, 32143, 32151,
+    32152)
+
+# one representative per class of 6-vertex graphs with a dominating vertex, K6 excluded
+PINNED_DOMINATED_6 = (
+    31, 63, 127, 255, 511, 639, 671, 703, 767, 927, 959, 1023, 1759, 1791, 1887,
+    1919, 2015, 2047, 4063, 4095, 5887, 5919, 5951, 6015, 6143, 6655, 7071, 7103,
+    7167, 8159, 8191, 15871, 16383)
+
+
+def _edge_lists(n, masks):
+    return tuple(Graph.from_edge_mask(n, m).edges for m in masks)
+
+
+@pytest.mark.parametrize("n,r", sorted(PINNED_TURAN))
+def test_verify_turan_exact_fields_pinned(n, r):
+    out = verify_turan(n, r, [0.2, 1.0 - 1.0 / r, 0.9])
+    got = [(c.regime, c.status, c.examined, c.maximal, c.maximizer_edge_lists)
+           for c in out.checks]
+    assert got == [(*row[:4], _edge_lists(n, row[4])) for row in PINNED_TURAN[n, r]]
+
+
+def test_r_chromatic_exact_fields_pinned():
+    res = maximize_over_class(6, 3, 2.0 / 3.0, "r_chromatic")
+    assert res.maximizers == PINNED_TRIPARTITE_6
+    assert (res.candidates_examined, res.maximal_members) == (27554, 90)
+    assert tuple(g.edges for g in res.maximizer_reps) == _edge_lists(6, (511, 4063, 15870))
+    # at alpha = 1, M is D: every 5-colorable graph with a vertex of degree 5 ties
+    res = maximize_over_class(6, 5, 1.0, "r_chromatic")
+    us, vs = extremal._edge_arrays(6)
+    masks = np.arange(1 << 15, dtype=np.int64)
+    bits = (masks[:, np.newaxis] >> np.arange(15)) & 1
+    degrees = np.stack([bits[:, (us == v) | (vs == v)].sum(axis=1) for v in range(6)], axis=1)
+    dominated = masks[(degrees.max(axis=1) == 5) & (masks != (1 << 15) - 1)]
+    assert len(res.maximizers) == 5318
+    assert res.maximizers == tuple(dominated.tolist())
+    assert (res.candidates_examined, res.maximal_members) == (32767, 15)
+    assert tuple(g.edges for g in res.maximizer_reps) == _edge_lists(6, PINNED_DOMINATED_6)
 
 
 # ---------------------------------------------------------------- table slices
