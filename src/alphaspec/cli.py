@@ -3,25 +3,30 @@
 Subcommands: spectrum, bounds, sweep, closed-form, verify-turan, psd-threshold,
 enumerate. Exit codes follow the sysexits convention: 0 success, 2 a check ran
 and failed (bound violation, extremal counterexample), 64 bad usage or
-parameter values, 65 unreadable or oversized input data, 66 missing input file,
-70 an internal consistency check failed (SolverError, with its diagnostics).
+parameter values, 65 unreadable or oversized input data (more memory than can
+be allocated included), 66 a file that cannot be opened, read or written, 70
+an internal consistency check failed (SolverError, with its diagnostics).
+main maps each failure to its code through one table, EXIT_CODES, and prints
+it as one "error: " line. entry(), behind the installed script and
+python -m alphaspec.cli, ends quietly, killed by SIGPIPE, when the reader of
+its output closes the pipe.
 """
 
 import argparse
 import functools
 import json
 import math
+import signal
 import sys
 
 from .bounds import bound_report
 from .closed_forms import (ClosedFormSpectrum, spectrum_complete,
                            spectrum_complete_bipartite,
                            spectrum_complete_multipartite, spectrum_star)
-from .combinatorics import _check_enumeration_order, enumerate_graphs
 from .eigensolver import alpha_sweep, full_spectrum, psd_threshold
-from .errors import (CapacityError, GraphFormatError, ParameterError,
-                     SolverError)
-from .extremal import class_member_masks, verify_turan
+from .errors import (AlphaspecError, CapacityError, DimensionError,
+                     GraphFormatError, ParameterError, SolverError)
+from .extremal import _class_table, _mask_class, _table_mask_slices, verify_turan
 from .graphs import Graph, format_edge_list, parse_edge_list
 from .matrices import MATRIX_KINDS, alpha_matrix, assemble
 
@@ -31,6 +36,17 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_SOFTWARE = 70
+
+# (exception type, exit code): the first type the failure is an instance of
+EXIT_CODES = (
+    (OSError, EX_NOINPUT),  # missing, unreadable or unwritable file
+    (MemoryError, EX_DATAERR),  # a request over capacity
+    (GraphFormatError, EX_DATAERR),
+    (CapacityError, EX_DATAERR),
+    (ParameterError, EX_USAGE),
+    (DimensionError, EX_USAGE),
+    (SolverError, EX_SOFTWARE),
+)
 
 GRID_MAX_POINTS = 100_000
 
@@ -200,20 +216,17 @@ def cmd_psd_threshold(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.clique_free is None:
-        graphs = enumerate_graphs(args.n)
-    elif args.clique_free < 2:
+    # no graph on n vertices holds a clique on n + 1, so unfiltered is that class
+    s = max(args.n + 1, 2) if args.clique_free is None else args.clique_free
+    if s < 2:
         raise ParameterError("--clique-free needs a clique size >= 2")
-    else:
-        _check_enumeration_order(args.n)  # the unfiltered stream's range errors
-        # the class table lists the members in the same ascending mask order
-        masks = class_member_masks(args.n, args.clique_free - 1, "clique_free")
-        graphs = (Graph.from_edge_mask(args.n, int(m)) for m in masks)
+    table = _class_table(args.n, *_mask_class(args.n, s - 1, "clique_free"))
     count = 0
-    for g in graphs:
-        sys.stdout.write(format_edge_list(g))
-        sys.stdout.write("\n")
-        count += 1
+    for masks in _table_mask_slices(table):  # ascending, one slice at a time
+        for m in map(int, masks):  # masks.tolist() would hold 80 MiB per full slice
+            sys.stdout.write(format_edge_list(Graph.from_edge_mask(args.n, m)))
+            sys.stdout.write("\n")
+        count += masks.size
     print(f"# {count} graphs", file=sys.stderr)
     return EX_OK
 
@@ -292,26 +305,20 @@ def main(argv=None) -> int:
         return EX_OK
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
-        return EX_NOINPUT
-    except IsADirectoryError as exc:
-        print(f"error: is a directory: {exc.filename}", file=sys.stderr)
-        return EX_NOINPUT
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except SolverError as exc:
-        details = " ".join(f"{k}={v}" for k, v in exc.diagnostics.items())
-        print(f"error: {exc}" + (f" ({details})" if details else ""), file=sys.stderr)
-        return EX_SOFTWARE
+    except (OSError, MemoryError, AlphaspecError) as exc:
+        if isinstance(exc, OSError) and exc.strerror:
+            text = exc.strerror.lower() + (f": {exc.filename}" if exc.filename else "")
+        else:
+            text = str(exc) or type(exc).__name__
+        details = " ".join(f"{k}={v}" for k, v in getattr(exc, "diagnostics", {}).items())
+        print(f"error: {text}" + (f" ({details})" if details else ""), file=sys.stderr)
+        return next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), EX_SOFTWARE)
 
 
 def entry() -> None:
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed reader ends the process quietly
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

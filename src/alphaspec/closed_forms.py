@@ -14,6 +14,7 @@ import numpy as np
 
 from .eigensolver import eigenvalues_only
 from .errors import ParameterError, SolverError
+from .graphs import as_index
 from .matrices import check_alpha
 
 
@@ -59,7 +60,7 @@ def _sorted_pairs(pairs) -> tuple[tuple[float, int], ...]:
 
 def spectrum_complete(n: int, alpha: float) -> ClosedFormSpectrum:
     """Spectrum of M(alpha) for the complete graph on n vertices."""
-    a = check_alpha(alpha)
+    a, n = check_alpha(alpha), as_index(n, "vertex count")
     if n < 1:
         raise ParameterError("complete graph needs n >= 1")
     pairs = [(float(n - 1), 1)]
@@ -79,6 +80,7 @@ def _two_level_extremes(a_size: int, b_size: int, alpha: float) -> tuple[float, 
 def spectrum_complete_bipartite(a_size: int, b_size: int, alpha: float) -> ClosedFormSpectrum:
     """Spectrum of M(alpha) for the complete bipartite graph with given part sizes."""
     al = check_alpha(alpha)
+    a_size, b_size = as_index(a_size, "part size"), as_index(b_size, "part size")
     if a_size < 1 or b_size < 1:
         raise ParameterError("complete bipartite needs part sizes >= 1")
     big, small = max(a_size, b_size), min(a_size, b_size)
@@ -93,7 +95,7 @@ def spectrum_complete_bipartite(a_size: int, b_size: int, alpha: float) -> Close
 
 def spectrum_star(n: int, alpha: float) -> ClosedFormSpectrum:
     """Spectrum of M(alpha) for the star of order n (center plus n-1 leaves)."""
-    if n < 2:
+    if as_index(n, "vertex count") < 2:
         raise ParameterError("star spectrum needs n >= 2")
     inner = spectrum_complete_bipartite(n - 1, 1, alpha)
     return ClosedFormSpectrum(inner.values_with_multiplicity, "star")
@@ -124,6 +126,7 @@ def join_regular_radius(r1: int, n1: int, r2: int, n2: int, alpha: float) -> flo
     Largest root of (x - r1 - alpha*n2)(x - r2 - alpha*n1) = (1-alpha)^2*n1*n2.
     """
     a = check_alpha(alpha)
+    r1, n1, r2, n2 = (as_index(k, "join parameter") for k in (r1, n1, r2, n2))
     if n1 < 1 or n2 < 1:
         raise ParameterError("join needs part orders >= 1")
     if not (0 <= r1 <= n1 - 1) or not (0 <= r2 <= n2 - 1):
@@ -163,7 +166,7 @@ def multipartite_radius(part_sizes, alpha: float) -> float:
     itself, returned as such.
     """
     a = check_alpha(alpha)
-    sizes = [int(s) for s in part_sizes]
+    sizes = [as_index(s, "part size") for s in part_sizes]
     if len(sizes) < 2:
         raise ParameterError("complete multipartite radius needs at least 2 parts")
     groups = _part_groups(sizes)
@@ -185,7 +188,7 @@ def spectrum_complete_multipartite(part_sizes, alpha: float) -> ClosedFormSpectr
     eigenvalues of the quotient matrix, one per distinct part size.
     """
     a = check_alpha(alpha)
-    sizes = [int(s) for s in part_sizes]
+    sizes = [as_index(s, "part size") for s in part_sizes]
     if not sizes:
         raise ParameterError("need at least one part")
     groups = _part_groups(sizes)

@@ -26,7 +26,6 @@ n = 8).
 import functools
 import itertools
 import math
-import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,8 +36,8 @@ from .closed_forms import multipartite_radius
 from .combinatorics import ENUMERATION_MAX_VERTICES, integer_partitions
 from .eigensolver import alpha_sweep, eigvalsh_batch
 from .errors import CapacityError, ParameterError, SolverError
-from .graphs import (Graph, complete_multipartite, is_connected, pairs_mask,
-                     turan_part_sizes)
+from .graphs import (Graph, as_index, complete_multipartite, is_connected,
+                     pairs_mask, turan_part_sizes)
 from .matrices import _blend, check_alpha
 
 ENUMERATIVE_MAX_VERTICES = 7
@@ -90,7 +89,7 @@ def _mask_class(n: int, r: int, class_tag: str) -> tuple[np.ndarray, bool]:
     partition of n into min(r, n) parts."""
     if class_tag not in ("clique_free", "r_chromatic"):
         raise ParameterError(f"no mask enumeration for class {class_tag!r}")
-    n, r = _index(n, "vertex count"), _index(r, "class parameter r")
+    n, r = as_index(n, "vertex count"), as_index(r, "class parameter r")
     if r < 1:
         raise ParameterError("class parameter r must be >= 1")
     if n < 0:
@@ -139,18 +138,21 @@ def _lattice_or(src: np.ndarray, dst: np.ndarray, n_edges: int, up: bool) -> Non
         dst2[:, int(up)] |= src2[:, int(not up)]
 
 
-def _table_chunks(words: np.ndarray):
-    """A packed table as (first mask, one bool per mask) slices of
-    TABLE_CHUNK_WORDS words, so no pass holds a byte per mask of the table."""
+def _table_mask_slices(words: np.ndarray):
+    """The masks set in a packed table, ascending int64, one slice of
+    TABLE_CHUNK_WORDS words at a time, so no pass holds a byte per mask of
+    the table."""
     for start in range(0, words.size, TABLE_CHUNK_WORDS):
         part = words[start:start + TABLE_CHUNK_WORDS].astype("<u8", copy=False)
-        yield start << 6, np.unpackbits(part.view(np.uint8), bitorder="little").view(bool)
+        bits = np.unpackbits(part.view(np.uint8), bitorder="little").view(bool)
+        masks = np.flatnonzero(bits).astype(np.int64, copy=False)
+        masks += start << 6
+        yield masks
 
 
 def _table_masks(words: np.ndarray) -> np.ndarray:
     """The masks set in a packed table, ascending int64."""
-    return np.concatenate([np.flatnonzero(bits).astype(np.int64, copy=False) + first
-                           for first, bits in _table_chunks(words)])
+    return np.concatenate(list(_table_mask_slices(words)))
 
 
 def _table_count(words: np.ndarray) -> int:
@@ -354,7 +356,7 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
     this process. tie_tol must be finite and >= 0. _members is the
     _enumerative_members of the class when the caller has built it already.
     """
-    n, r = _index(n, "vertex count"), _index(r, "class parameter r")
+    n, r = as_index(n, "vertex count"), as_index(r, "class parameter r")
     a = check_alpha(alpha)
     tie_tol = _check_tie_tol(tie_tol)
     if class_tag not in CLASS_TAGS:
@@ -400,13 +402,6 @@ def maximize_over_class(n: int, r: int, alpha: float, class_tag: str,
     return ExtremalResult(class_tag, n, r, float(a), float(best),
                           tuple(int(m) for m in masks), tuple(reps),
                           examined, solved, elapsed, maximal, screened)
-
-
-def _index(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError as exc:
-        raise ParameterError(f"{name} {value!r} is not an integer") from exc
 
 
 def _check_tie_tol(tie_tol: float) -> float:
@@ -483,7 +478,7 @@ def verify_turan(n: int, r: int, alphas, tie_tol: float = DEFAULT_TIE_TOL,
     effect, as in maximize_over_class. Every alpha is checked before the class
     is built, once, and its time counts in the first check's elapsed_ms.
     """
-    n, r = _index(n, "vertex count"), _index(r, "class parameter r")
+    n, r = as_index(n, "vertex count"), as_index(r, "class parameter r")
     if not 2 <= r:
         raise ParameterError("need r >= 2")
     if n < r + 1:
@@ -569,27 +564,21 @@ def monotonicity_check(g: Graph, grid) -> MonotonicityReport:
     steps = np.diff(np.array(alphas))
     problems = []
     diffs = np.diff(tab, axis=0)
-    for i in range(diffs.shape[0]):
-        for k in range(g.n):
-            d = diffs[i, k]
-            if d < -1e-9:
-                problems.append(
-                    f"lambda_{k + 1} decreased by {-d:.3e} on step {i}")
-            excess = abs(d) - steps[i] * g.n
-            if excess > 1e-9:
-                problems.append(
-                    f"lambda_{k + 1} step {i} exceeds the Lipschitz rate by {excess:.3e}")
+    excess = np.abs(diffs) - steps[:, np.newaxis] * g.n
+    fell, fast = diffs < -1e-9, excess > 1e-9
+    for i, k in zip(*np.nonzero(fell | fast)):  # step by step, eigenvalue by eigenvalue
+        if fell[i, k]:
+            problems.append(f"lambda_{k + 1} decreased by {-diffs[i, k]:.3e} on step {i}")
+        if fast[i, k]:
+            problems.append(
+                f"lambda_{k + 1} step {i} exceeds the Lipschitz rate by {excess[i, k]:.3e}")
     if g.n >= 1 and len(alphas) >= 3:
-        slopes = sweep.difference_quotients()
-        hmin = np.minimum(steps[:-1], steps[1:])
-        top_curve = (slopes[1:, 0] - slopes[:-1, 0]) * hmin
-        bot_curve = (slopes[1:, g.n - 1] - slopes[:-1, g.n - 1]) * hmin
-        for i, c in enumerate(top_curve):
-            if c < -1e-8:
-                problems.append(f"lambda_1 convexity defect {c:.3e} at knot {i + 1}")
-        for i, c in enumerate(bot_curve):
-            if c > 1e-8:
-                problems.append(f"lambda_n concavity defect {c:.3e} at knot {i + 1}")
+        curve = np.diff(sweep.difference_quotients(), axis=0) * np.minimum(
+            steps[:-1], steps[1:])[:, np.newaxis]
+        for i in np.flatnonzero(curve[:, 0] < -1e-8):
+            problems.append(f"lambda_1 convexity defect {curve[i, 0]:.3e} at knot {i + 1}")
+        for i in np.flatnonzero(curve[:, -1] > 1e-8):
+            problems.append(f"lambda_n concavity defect {curve[i, -1]:.3e} at knot {i + 1}")
     margin = None
     if g.n >= 1 and is_connected(g):
         if not g.is_regular():

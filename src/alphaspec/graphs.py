@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphFormatError, ParameterError
+from .errors import CapacityError, GraphFormatError, ParameterError
 
 GRAPH_FAMILIES = (
     "complete",
@@ -27,6 +27,15 @@ GRAPH_FAMILIES = (
 )
 
 
+def as_index(value, name: str) -> int:
+    """A size or count as a Python int: numpy integers pass, and a float or a
+    string raises ParameterError where int() would truncate or parse it."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ParameterError(f"{name} {value!r} is not an integer") from exc
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected graph on vertices 0..n-1 with no loops or multi-edges."""
@@ -35,10 +44,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)
-        except TypeError as exc:
-            raise ParameterError(f"vertex count {self.n!r} is not an integer") from exc
+        n = as_index(self.n, "vertex count")
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
         object.__setattr__(self, "n", n)
@@ -103,7 +109,10 @@ class Graph:
     @cached_property
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix: a read-only float64 (n, n) array, built once."""
-        adj = np.zeros((self.n, self.n))
+        try:
+            adj = np.zeros((self.n, self.n))
+        except ValueError as exc:  # n * n * 8 bytes past what numpy can address
+            raise CapacityError(f"no dense matrix on n={self.n} vertices: {exc}") from exc
         ends = itertools.chain.from_iterable(self.edges)
         us, vs = np.fromiter(ends, dtype=np.intp, count=2 * self.m).reshape(-1, 2).T
         adj[us, vs] = adj[vs, us] = 1.0
@@ -173,7 +182,8 @@ class GraphSpec:
 
     def __post_init__(self):
         _require(self.family in GRAPH_FAMILIES, f"unknown family {self.family!r}")
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
+        object.__setattr__(self, "params",
+                           tuple(as_index(p, "graph parameter") for p in self.params))
 
 
 def build(spec: GraphSpec) -> Graph:
@@ -227,7 +237,7 @@ def star(n: int) -> Graph:
 
 
 def complete_multipartite(sizes) -> Graph:
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(as_index(s, "part size") for s in sizes)
     _require(len(sizes) >= 1 and all(s >= 1 for s in sizes),
              "complete multipartite needs part sizes >= 1")
     bounds = tuple(itertools.accumulate(sizes, initial=0))

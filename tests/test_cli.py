@@ -1,4 +1,11 @@
+import errno
 import json
+import os
+import pathlib
+import resource
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -232,6 +239,16 @@ def test_enumerate_clique_free_matches_filtered_enumeration(capsys):
         assert refused[0] in (cli.EX_DATAERR, cli.EX_USAGE)
 
 
+def test_enumerate_unfiltered_matches_enumerate_graphs(capsys):
+    # unfiltered is the class without (n+1)-cliques, streamed from its table
+    for n in range(7):
+        rc, out, err = run(capsys, "enumerate", "--n", str(n))
+        want = [format_edge_list(g) + "\n" for g in enumerate_graphs(n)]
+        assert rc == 0
+        assert out == "".join(want)
+        assert err == f"# {len(want)} graphs\n"
+
+
 def test_enumerate_capacity(capsys):
     rc, _, err = run(capsys, "enumerate", "--n", "20")
     assert rc == 65 and "limited" in err
@@ -330,3 +347,76 @@ def test_psd_threshold_check_failure_exit(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: smallest eigenvalue at the threshold")
     assert "threshold=0.447213595499" in err and "lam_min=" in err and "tol=1e-10" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("code, argv, reason", [
+    pytest.param(66, lambda d: ["spectrum", f"{d}/absent.txt", "--alpha", "0.5"],
+                 os.strerror(errno.ENOENT), id="missing"),
+    pytest.param(66, lambda d: ["spectrum", f"{d}/p4.txt/g.txt", "--alpha", "0.5"],
+                 os.strerror(errno.ENOTDIR), id="path-through-file"),
+    pytest.param(66, lambda d: ["spectrum", f"{d}/{'g' * 300}", "--alpha", "0.5"],
+                 os.strerror(errno.ENAMETOOLONG), id="name-too-long"),
+    pytest.param(66, lambda d: ["sweep", f"{d}/p4.txt", "--grid", "0:1:0.5",
+                                "--out", f"{d}/p4.txt/o.csv"],
+                 os.strerror(errno.ENOTDIR), id="out-under-file"),
+    # 10^7 vertices: the dense matrix needs 728 TiB
+    pytest.param(65, lambda d: ["spectrum", f"{d}/huge.txt", "--alpha", "0.5"],
+                 "allocate", id="spectrum-huge"),
+    pytest.param(65, lambda d: ["bounds", f"{d}/huge.txt", "--alpha", "0.5"],
+                 "allocate", id="bounds-huge"),
+    pytest.param(65, lambda d: ["sweep", f"{d}/huge.txt", "--grid", "0:1:0.5"],
+                 "allocate", id="sweep-huge"),
+    # 10^11 and 10^19 vertices: numpy cannot even describe the matrix
+    pytest.param(65, lambda d: ["spectrum", f"{d}/vast.txt", "--alpha", "0.5"],
+                 "no dense matrix on n=100000000000", id="spectrum-vast"),
+    pytest.param(65, lambda d: ["bounds", f"{d}/past-int64.txt", "--alpha", "0.5"],
+                 "no dense matrix on n=10000000000000000000", id="bounds-past-int64"),
+])
+def test_failures_end_in_one_error_line(capsys, tmp_path, code, argv, reason):
+    (tmp_path / "p4.txt").write_text("4 3\n0 1\n1 2\n2 3\n")
+    (tmp_path / "huge.txt").write_text("10000000 0\n")
+    (tmp_path / "vast.txt").write_text("100000000000 0\n")
+    (tmp_path / "past-int64.txt").write_text(f"{10**19} 0\n")
+    rc, out, err = run(capsys, *argv(tmp_path))
+    assert (rc, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert reason.lower() in err and "Traceback" not in err
+
+
+def _cli_process(*argv, **kw):
+    """python -m alphaspec.cli with argv, stdout and stderr piped."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.Popen([sys.executable, "-m", "alphaspec.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kw)
+
+
+def _read_then_close(proc, nbytes):
+    """Read nbytes of the child's stdout, close the pipe, and return the
+    child's return code and stderr."""
+    assert len(proc.stdout.read(nbytes)) == nbytes
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err
+
+
+def test_module_run_executes_the_command():
+    ok = _cli_process("verify-turan", "--n", "4", "--r", "2", "--alphas", "0.3")
+    out, _ = ok.communicate(timeout=120)
+    assert ok.returncode == 0 and b"result: all checks passed" in out
+    bad = _cli_process("verify-turan", "--n", "4", "--r", "9", "--alphas", "0.3")
+    out, err = bad.communicate(timeout=120)
+    assert bad.returncode == cli.EX_USAGE and out == b"" and err.startswith(b"error: ")
+
+
+def test_closed_pipe_ends_quietly():
+    assert _read_then_close(_cli_process("enumerate", "--n", "6"), 100) == (-signal.SIGPIPE, b"")
+
+
+def test_enumerate_n8_streams_within_one_gib():
+    # the K5-free graphs on 8 vertices are 258,081,845 masks, 1.9 GiB as int64
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = _cli_process("enumerate", "--n", "8", "--clique-free", "5", preexec_fn=limit)
+    assert _read_then_close(proc, 4000) == (-signal.SIGPIPE, b"")

@@ -13,6 +13,28 @@ from alphaspec import (ParameterError, alpha_matrix, complete,
                        spectrum_complete_multipartite, spectrum_star, star,
                        turan)
 from alphaspec.closed_forms import ClosedFormSpectrum
+from alphaspec.graphs import GraphSpec
+
+
+@pytest.mark.parametrize("build, sizes", [
+    pytest.param(complete_multipartite, lambda k: ([k, 1],), id="complete_multipartite"),
+    pytest.param(GraphSpec, lambda k: ("complete", (k,)), id="GraphSpec"),
+    pytest.param(multipartite_radius, lambda k: ([k, 2], 0.3), id="multipartite_radius"),
+    pytest.param(spectrum_complete_multipartite, lambda k: ([k, 2], 0.3),
+                 id="spectrum_complete_multipartite"),
+    pytest.param(spectrum_complete, lambda k: (k, 0.3), id="spectrum_complete"),
+    pytest.param(spectrum_star, lambda k: (k, 0.3), id="spectrum_star"),
+    pytest.param(spectrum_complete_bipartite, lambda k: (k, 1, 0.3), id="bipartite-a"),
+    pytest.param(spectrum_complete_bipartite, lambda k: (1, k, 0.3), id="bipartite-b"),
+    pytest.param(join_regular_radius, lambda k: (0, k, 0, 1, 0.3), id="join-n1"),
+    pytest.param(join_regular_radius, lambda k: (1, 2, 0, k, 0.3), id="join-n2"),
+])
+def test_sizes_must_be_integers(build, sizes):
+    # a size of 2.7 once built the graph of size 2 without a word
+    for bad in (2.7, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(ParameterError, match="is not an integer"):
+            build(*sizes(bad))
+    assert build(*sizes(np.int64(3))) == build(*sizes(3))
 
 
 def test_complete_known_values():

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import alphaspec.extremal as extremal
-from alphaspec import (CapacityError, Graph, ParameterError, SolverError,
-                       alpha_matrix, chromatic_number, complete_multipartite,
+from alphaspec import (AlphaSweep, CapacityError, Graph, ParameterError,
+                       SolverError, alpha_matrix, chromatic_number, complete_multipartite,
                        cycle, eigenvalues_only, eigvalsh_batch,
                        enumerate_graphs, is_clique_free, maximize_over_class,
                        monotonicity_check, multipartite_radius, path, star,
@@ -210,6 +210,44 @@ def test_monotonicity_grid_validation():
         monotonicity_check(path(3), [0.5, 0.5])
     with pytest.raises(ParameterError):
         monotonicity_check(path(3), [0.0, 1.5])
+
+
+class _CraftedSweep(AlphaSweep):
+    """A sweep whose table is given row by row instead of solved."""
+
+    def table(self):
+        return np.array(self.spectra, dtype=float)
+
+
+@pytest.mark.parametrize("g, grid, rows, violations, margin", [
+    # a decrease, a Lipschitz excess, a convexity and a concavity defect
+    (path(4), [0.0, 0.1, 0.3, 0.4],
+     [[2.0, 1.0, 0.0, -1.0], [2.3, 0.9, 0.05, -0.9],
+      [2.4, 1.5, 1.0, -0.7], [2.45, 1.6, 1.1, -0.4]],
+     ("lambda_2 decreased by 1.000e-01 on step 0",
+      "lambda_3 step 1 exceeds the Lipschitz rate by 1.500e-01",
+      "lambda_1 convexity defect -2.500e-01 at knot 1",
+      "lambda_n concavity defect 2.000e-01 at knot 2",
+      "irregular connected graph grew by only -1.000e-01"),
+     -0.09999999999999998),
+    # both step messages of one eigenvalue, then the next eigenvalue's
+    (cycle(4), [0.0, 0.5, 1.0],
+     [[2.0, 0.0, 0.0, -2.0], [2.0, -2.5, 0.0, -1.0], [2.1, 0.0, 0.5, 1.5]],
+     ("lambda_2 decreased by 2.500e+00 on step 0",
+      "lambda_2 step 0 exceeds the Lipschitz rate by 5.000e-01",
+      "lambda_2 step 1 exceeds the Lipschitz rate by 5.000e-01",
+      "lambda_4 step 1 exceeds the Lipschitz rate by 5.000e-01",
+      "lambda_n concavity defect 1.500e+00 at knot 1",
+      "regular graph's top eigenvalue moved by 1.000e-01"),
+     None),
+])
+def test_monotonicity_reports_each_violation(monkeypatch, g, grid, rows, violations, margin):
+    monkeypatch.setattr(extremal, "alpha_sweep",
+                        lambda g, alphas: _CraftedSweep(tuple(alphas), tuple(map(tuple, rows))))
+    rep = monotonicity_check(g, grid)
+    assert not rep.ok
+    assert rep.violations == violations
+    assert rep.strict_margin == margin
 
 
 def test_descent_solves_fewer_matrices_than_members():
